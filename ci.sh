@@ -20,6 +20,17 @@ echo "== bench smoke (--quick)"
 cargo bench -p cit-bench --bench components -- --quick
 test -s BENCH_compute.json || { echo "BENCH_compute.json missing or empty" >&2; exit 1; }
 
+echo "== matmul kernel path (simd_level)"
+# The matmul kernels pick their AVX2 copy at runtime. A host whose CPU
+# lists avx2 must run it, so the fast path cannot be lost silently (for
+# example by a dispatch bug that always falls back to the portable copy).
+simd_level=$(jq -r '.simd_level // "missing"' BENCH_compute.json)
+echo "simd_level: $simd_level"
+if grep -qw avx2 /proc/cpuinfo 2>/dev/null && [ "$simd_level" != "avx2" ]; then
+  echo "!!! /proc/cpuinfo lists avx2 but the kernels run '$simd_level' !!!" >&2
+  exit 1
+fi
+
 echo "== bench regression guard (speedups vs baseline)"
 # Every speedup field in BENCH_compute.json is current-vs-baseline for one
 # kernel; anything below 0.8x is a loud regression warning so a slow kernel

@@ -464,6 +464,14 @@ fn write_manifest(h: &Harness) {
         "  \"threads\": {},\n",
         cit_compute::threads_from_env()
     ));
+    json.push_str(&format!(
+        "  \"autotune_host\": \"{}\",\n",
+        cit_compute::autotune::host_key()
+    ));
+    json.push_str(&format!(
+        "  \"simd_level\": \"{}\",\n",
+        cit_compute::autotune::simd_level()
+    ));
 
     json.push_str("  \"results_ns\": {\n");
     let results = h.results.borrow();

@@ -132,7 +132,9 @@ pub fn experiment_telemetry(experiment: &str, scale: Scale, seed: u64) -> Teleme
         Record::new("run.start")
             .with("experiment", experiment)
             .with("scale", scale.to_string())
-            .with("seed", seed),
+            .with("seed", seed)
+            .with("autotune_host", cit_compute::autotune::host_key())
+            .with("simd_level", cit_compute::autotune::simd_level()),
     );
     tel
 }

@@ -16,6 +16,14 @@
 //! 3. one-shot candidate bench (first call only; ~ms per size class)
 //! 4. per-layout static defaults (`TilingScheme::default_for`)
 //!
+//! Steps 2 and 3 publish their winner into a fixed table with one slot per
+//! `(layout, size class)`: this host's cache entries when the tuner is
+//! installed, a benched winner when it is found. A kernel call reads its
+//! slot with one atomic load; the tuner's mutex is taken only on a miss, to
+//! bench and persist. There is deliberately no thread-local memo — serve
+//! batches run on freshly spawned scoped threads, where it would start
+//! cold on every batch.
+//!
 //! Setting `CIT_AUTOTUNE=off` (or `0`/`false`) disables the tuner
 //! entirely: no provider is installed, no benching runs, no file is read
 //! or written, and every kernel call uses the static defaults (or a forced
@@ -23,11 +31,16 @@
 //! kernels' determinism contract), autotuning can never change model
 //! outputs — only wall-clock.
 
-use cit_tensor::kernels::{self, MatmulLayout, TilingScheme, SUPPORTED_REGISTER_TILES};
-use std::collections::{BTreeMap, HashMap};
+use cit_tensor::kernels::{self, MatmulLayout, TilingScheme};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::{Mutex, Once};
+use std::sync::{Mutex, Once, OnceLock};
 use std::time::Instant;
+
+/// The compiled copy of the matmul kernels this process runs (`"avx2"` or
+/// `"portable"`), re-exported so run manifests can record it next to
+/// [`host_key`] without depending on `cit-tensor`.
+pub use cit_tensor::kernels::simd_level;
 
 /// A power-of-two bucketing of a matmul problem size: every dimension is
 /// rounded up to the next power of two (clamped to `[8, 4096]`), so nearby
@@ -111,39 +124,89 @@ pub fn ensure_installed() {
         if autotune_disabled() {
             return;
         }
-        let tuner = Tuner::new();
+        let tuner = Tuner::new(cache_path(), host_key(), bench_candidates);
         let _ = kernels::install_scheme_provider(Box::new(move |layout, m, k, n| {
             tuner.resolve(layout, m, k, n)
         }));
     });
 }
 
-struct TunerState {
-    /// Resolved winners, the fast path for every call after the first.
-    mem: HashMap<(MatmulLayout, SizeClass), TilingScheme>,
-    /// Merged persisted view (`host|layout|class` → encoded scheme),
-    /// including entries loaded from disk for other hosts, which are
-    /// preserved on rewrite.
-    file: BTreeMap<String, String>,
+/// Size classes per dimension: the powers of two `8 ..= 4096`.
+const CLASS_STEPS: usize = 10;
+
+/// Slots in the winner table: one per layout and size class.
+const TABLE_LEN: usize = 3 * CLASS_STEPS * CLASS_STEPS * CLASS_STEPS;
+
+/// The winner-table slot of `(layout, class)`. `class` must be canonical,
+/// i.e. produced by [`SizeClass::of`].
+fn table_index(layout: MatmulLayout, class: SizeClass) -> usize {
+    let step = |d: usize| d.trailing_zeros() as usize - 3;
+    let layout = match layout {
+        MatmulLayout::Nn => 0,
+        MatmulLayout::Nt => 1,
+        MatmulLayout::Tn => 2,
+    };
+    ((layout * CLASS_STEPS + step(class.m)) * CLASS_STEPS + step(class.k)) * CLASS_STEPS
+        + step(class.n)
 }
+
+/// Parses a cache-file key `host|layout|MxKxN` into its parts, or `None`
+/// when the layout is unknown or the class is not canonical.
+fn parse_file_key(key: &str) -> Option<(&str, MatmulLayout, SizeClass)> {
+    let mut parts = key.split('|');
+    let host = parts.next()?;
+    let layout = match parts.next()? {
+        "nn" => MatmulLayout::Nn,
+        "nt" => MatmulLayout::Nt,
+        "tn" => MatmulLayout::Tn,
+        _ => return None,
+    };
+    let mut dims = parts.next()?.split('x').map(|d| d.parse::<usize>().ok());
+    let (m, k, n) = (dims.next()??, dims.next()??, dims.next()??);
+    let class = SizeClass { m, k, n };
+    let canonical =
+        dims.next().is_none() && parts.next().is_none() && SizeClass::of(m, k, n) == class;
+    canonical.then_some((host, layout, class))
+}
+
+/// Picks the winning scheme for one layout and size class.
+type BenchFn = fn(MatmulLayout, SizeClass) -> TilingScheme;
 
 struct Tuner {
     host: String,
     path: PathBuf,
-    state: Mutex<TunerState>,
+    bench: BenchFn,
+    /// Published winners, one slot per `(layout, size class)`. A hit is
+    /// one atomic load; a slot is set once, under `file`'s lock.
+    table: Box<[OnceLock<TilingScheme>]>,
+    /// Merged persisted view (`host|layout|class` → encoded scheme),
+    /// including entries loaded from disk for other hosts, which are
+    /// preserved on rewrite. Locked only on a miss.
+    file: Mutex<BTreeMap<String, String>>,
 }
 
 impl Tuner {
-    fn new() -> Self {
-        let path = cache_path();
+    /// A tuner over the cache file at `path`, with this host's entries
+    /// already published, so a warm cache never takes the lock.
+    fn new(path: PathBuf, host: String, bench: BenchFn) -> Self {
         let file = load_cache(&path);
+        let table: Box<[OnceLock<TilingScheme>]> =
+            (0..TABLE_LEN).map(|_| OnceLock::new()).collect();
+        for (key, encoded) in &file {
+            if let (Some((h, layout, class)), Some(s)) =
+                (parse_file_key(key), TilingScheme::parse(encoded))
+            {
+                if h == host {
+                    let _ = table[table_index(layout, class)].set(s.validated());
+                }
+            }
+        }
         Tuner {
-            host: host_key(),
+            host,
             path,
-            state: Mutex::new(TunerState {
-                mem: HashMap::new(),
-                file,
-            }),
+            bench,
+            table,
+            file: Mutex::new(file),
         }
     }
 
@@ -153,51 +216,35 @@ impl Tuner {
 
     fn resolve(&self, layout: MatmulLayout, m: usize, k: usize, n: usize) -> TilingScheme {
         let class = SizeClass::of(m, k, n);
-        let key = (layout, class);
-        let mut state = self
-            .state
+        let slot = &self.table[table_index(layout, class)];
+        match slot.get() {
+            Some(s) => *s,
+            None => self.tune(layout, class, slot),
+        }
+    }
+
+    /// The miss path: benches the class once, persists the winner, then
+    /// publishes it. Runs under the lock so concurrent first callers of a
+    /// class wait for one tuning pass instead of racing their own.
+    #[cold]
+    fn tune(
+        &self,
+        layout: MatmulLayout,
+        class: SizeClass,
+        slot: &OnceLock<TilingScheme>,
+    ) -> TilingScheme {
+        let mut file = self
+            .file
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(s) = state.mem.get(&key) {
-            return *s;
+        if let Some(s) = slot.get() {
+            return *s; // published while this caller waited
         }
-        let fkey = self.file_key(layout, class);
-        if let Some(s) = state
-            .file
-            .get(&fkey)
-            .and_then(|enc| TilingScheme::parse(enc))
-        {
-            let s = s.validated();
-            state.mem.insert(key, s);
-            return s;
-        }
-        // One-shot bench, performed under the lock so concurrent first
-        // callers of the same class wait for one tuning pass instead of
-        // racing their own.
-        let winner = bench_candidates(layout, class);
-        state.mem.insert(key, winner);
-        state.file.insert(fkey, winner.encode());
-        persist_cache(&self.path, &state.file);
+        let winner = (self.bench)(layout, class);
+        file.insert(self.file_key(layout, class), winner.encode());
+        persist_cache(&self.path, &file);
+        let _ = slot.set(winner);
         winner
-    }
-}
-
-/// The candidate grid for one layout. Small on purpose: the one-shot bench
-/// must stay in the low-millisecond range per size class.
-fn candidates(layout: MatmulLayout) -> Vec<TilingScheme> {
-    let d = TilingScheme::default_for(layout);
-    match layout {
-        // nn/nt share the packed-panel driver: the register tile is the
-        // lever, cache blocks come from the defaults.
-        MatmulLayout::Nn | MatmulLayout::Nt => SUPPORTED_REGISTER_TILES
-            .iter()
-            .map(|&(mr, nr)| TilingScheme::new(mr, nr, d.mc, d.kc, d.nc).validated())
-            .collect(),
-        // tn is an axpy driver: mr/nr are ignored, mc/nc block the panel.
-        MatmulLayout::Tn => [(32, 256), (64, 256), (64, 512), (128, 512)]
-            .iter()
-            .map(|&(mc, nc)| TilingScheme::new(d.mr, d.nr, mc, d.kc, nc).validated())
-            .collect(),
     }
 }
 
@@ -231,7 +278,7 @@ fn bench_candidates(layout: MatmulLayout, class: SizeClass) -> TilingScheme {
 
     let mut best = TilingScheme::default_for(layout);
     let mut best_ns = u128::MAX;
-    for cand in candidates(layout) {
+    for cand in kernels::candidate_schemes(layout) {
         // Warm-up run: page in the pack buffer and estimate cost.
         let t0 = Instant::now();
         run(cand);
@@ -298,6 +345,7 @@ fn persist_cache(path: &PathBuf, entries: &BTreeMap<String, String>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn size_class_buckets_to_powers_of_two() {
@@ -346,7 +394,7 @@ mod tests {
     #[test]
     fn candidate_grids_are_nonempty_and_validated() {
         for layout in [MatmulLayout::Nn, MatmulLayout::Nt, MatmulLayout::Tn] {
-            let cands = candidates(layout);
+            let cands = kernels::candidate_schemes(layout);
             assert!(!cands.is_empty());
             for c in cands {
                 assert_eq!(c, c.validated(), "{layout:?} candidate not validated");
@@ -354,9 +402,145 @@ mod tests {
         }
     }
 
+    fn temp_cache(tag: &str) -> (PathBuf, PathBuf) {
+        let dir = std::env::temp_dir().join(format!("cit_autotune_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        (dir.join("cache.json"), dir)
+    }
+
+    /// A deterministic stand-in for the timing bench: a fixed candidate per
+    /// class, so two tuners agree without timing noise.
+    fn pick(layout: MatmulLayout, class: SizeClass) -> TilingScheme {
+        let cands = kernels::candidate_schemes(layout);
+        cands[(class.m + 3 * class.k + 7 * class.n) % cands.len()]
+    }
+
+    #[test]
+    fn file_keys_round_trip_and_reject_foreign_classes() {
+        let class = SizeClass::of(8, 24, 32);
+        let tuner = Tuner::new(PathBuf::from("/nonexistent/cache.json"), "h".into(), pick);
+        let key = tuner.file_key(MatmulLayout::Nt, class);
+        assert_eq!(parse_file_key(&key), Some(("h", MatmulLayout::Nt, class)));
+        for bad in [
+            "h|nn|10x8x8",
+            "h|nn|8x8",
+            "h|nn|8x8x8x8",
+            "h|xx|8x8x8",
+            "h|nn|4x8x8",
+            "h",
+        ] {
+            assert_eq!(parse_file_key(bad), None, "{bad:?}");
+        }
+        // Every canonical class has its own slot inside the table.
+        let mut seen = std::collections::HashSet::new();
+        for layout in [MatmulLayout::Nn, MatmulLayout::Nt, MatmulLayout::Tn] {
+            for d in (3..=12).map(|e| 1usize << e) {
+                for class in [
+                    SizeClass::of(d, 8, 8),
+                    SizeClass::of(8, d, 8),
+                    SizeClass::of(8, 8, d),
+                ] {
+                    let i = table_index(layout, class);
+                    assert!(i < TABLE_LEN);
+                    seen.insert((i, layout, class));
+                }
+            }
+        }
+        let slots: std::collections::HashSet<usize> = seen.iter().map(|s| s.0).collect();
+        assert_eq!(slots.len(), seen.len());
+    }
+
+    #[test]
+    fn miss_benches_and_persists_exactly_once() {
+        static BENCHES: AtomicUsize = AtomicUsize::new(0);
+        fn counting(layout: MatmulLayout, class: SizeClass) -> TilingScheme {
+            BENCHES.fetch_add(1, Ordering::SeqCst);
+            pick(layout, class)
+        }
+        let (path, dir) = temp_cache("once");
+        let first = Tuner::new(path.clone(), "hostT".into(), counting);
+        let winner = first.resolve(MatmulLayout::Nn, 8, 24, 32);
+        assert_eq!(BENCHES.load(Ordering::SeqCst), 1);
+        let persisted = load_cache(&path);
+        assert_eq!(persisted.len(), 1);
+        assert_eq!(persisted["hostT|nn|8x32x32"], winner.encode());
+
+        // Hits, from this size class's other shapes too, neither bench nor
+        // rewrite the file.
+        std::fs::remove_file(&path).unwrap();
+        for (m, k, n) in [(8, 24, 32), (5, 17, 20), (8, 32, 32)] {
+            assert_eq!(first.resolve(MatmulLayout::Nn, m, k, n), winner);
+        }
+        assert_eq!(BENCHES.load(Ordering::SeqCst), 1);
+        assert!(!path.exists(), "a hit rewrote the cache file");
+
+        // A new process finds the winner in the file: no bench at all.
+        persist_cache(&path, &persisted);
+        let second = Tuner::new(path.clone(), "hostT".into(), counting);
+        assert_eq!(second.resolve(MatmulLayout::Nn, 7, 30, 25), winner);
+        assert_eq!(BENCHES.load(Ordering::SeqCst), 1);
+        // Another host's entries are kept but never used here.
+        let other = Tuner::new(path, "hostU".into(), counting);
+        other.resolve(MatmulLayout::Nn, 8, 24, 32);
+        assert_eq!(BENCHES.load(Ordering::SeqCst), 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn two_threads_resolve_the_same_schemes_as_one() {
+        static BENCHES: AtomicUsize = AtomicUsize::new(0);
+        fn counting(layout: MatmulLayout, class: SizeClass) -> TilingScheme {
+            BENCHES.fetch_add(1, Ordering::SeqCst);
+            pick(layout, class)
+        }
+        let mut calls = Vec::new();
+        for layout in [MatmulLayout::Nn, MatmulLayout::Nt, MatmulLayout::Tn] {
+            for (m, k, n) in [
+                (8, 24, 32),
+                (8, 15, 32),
+                (11, 11, 256),
+                (24, 8, 32),
+                (128, 128, 128),
+            ] {
+                calls.push((layout, m, k, n));
+            }
+        }
+        let (path_one, dir_one) = temp_cache("one_thread");
+        let one = Tuner::new(path_one, "hostT".into(), pick);
+        let expected: Vec<TilingScheme> = calls
+            .iter()
+            .map(|&(l, m, k, n)| one.resolve(l, m, k, n))
+            .collect();
+
+        let (path_two, dir_two) = temp_cache("two_threads");
+        let two = Tuner::new(path_two.clone(), "hostT".into(), counting);
+        let results: Vec<Vec<TilingScheme>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..2)
+                .map(|_| {
+                    let (two, calls) = (&two, &calls);
+                    s.spawn(move || {
+                        calls
+                            .iter()
+                            .map(|&(l, m, k, n)| two.resolve(l, m, k, n))
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for got in results {
+            assert_eq!(got, expected);
+        }
+        // One bench per distinct class, however the threads interleaved.
+        assert_eq!(BENCHES.load(Ordering::SeqCst), calls.len());
+        assert_eq!(load_cache(&path_two).len(), calls.len());
+        let _ = std::fs::remove_dir_all(&dir_one);
+        let _ = std::fs::remove_dir_all(&dir_two);
+    }
+
     #[test]
     fn bench_picks_some_supported_candidate() {
         let winner = bench_candidates(MatmulLayout::Nt, SizeClass::of(32, 32, 32));
-        assert!(SUPPORTED_REGISTER_TILES.contains(&(winner.mr, winner.nr)));
+        assert!(kernels::SUPPORTED_REGISTER_TILES.contains(&(winner.mr, winner.nr)));
     }
 }

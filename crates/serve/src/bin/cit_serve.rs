@@ -275,6 +275,10 @@ fn main() {
             exit(1);
         }
     }
+    eprintln!(
+        "cit-serve: matmul kernels {}",
+        cit_compute::autotune::simd_level()
+    );
     println!("READY addr={} admin={admin}", server.addr());
     let _ = std::io::stdout().flush();
 

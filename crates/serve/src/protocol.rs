@@ -236,6 +236,14 @@ impl ErrorKind {
     pub fn is_retryable(self) -> bool {
         matches!(self, ErrorKind::Overloaded | ErrorKind::DeadlineExceeded)
     }
+
+    /// A reject that sheds load instead of answering: `overloaded`,
+    /// `deadline_exceeded` and `shutting_down`. The server-wide latency
+    /// histograms leave these out, so their percentiles describe answered
+    /// requests only.
+    pub(crate) fn is_shed(self) -> bool {
+        self.is_retryable() || self == ErrorKind::ShuttingDown
+    }
 }
 
 // Compile-time sync between `index()` (an exhaustive match — the thing

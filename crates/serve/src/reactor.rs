@@ -605,22 +605,7 @@ fn fill_slot(conn: &mut Conn, seq: u64, resp: Response, state: &ServerState) {
     if slot.resp.is_some() {
         return;
     }
-    let elapsed = slot.started.elapsed();
-    state.observe(slot.op_idx, &resp, elapsed);
-    // Queued requests that got a real answer (not a reject on the way
-    // in) also feed the aggregate request/latency instruments, matching
-    // the blocking backend's accounting.
-    let rejected_in_queue = matches!(
-        &resp,
-        Response::Error { kind, .. }
-            if *kind == ErrorKind::Overloaded
-                || *kind == ErrorKind::ShuttingDown
-                || *kind == ErrorKind::DeadlineExceeded
-    );
-    if slot.queued && !rejected_in_queue {
-        state.latency.record(elapsed.as_secs_f64());
-        state.requests.inc();
-    }
+    state.observe(slot.op_idx, &resp, slot.started.elapsed(), slot.queued);
     slot.resp = Some(resp);
     // Flush ready responses in order.
     while let Some(front) = conn.slots.front() {

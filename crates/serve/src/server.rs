@@ -208,7 +208,8 @@ pub(crate) struct ServerState {
     pub(crate) quarantined_counter: Counter,
     /// Every request (any op) for live req/s.
     pub(crate) requests_window: WindowedCounter,
-    /// Every request's wall latency for live p50/p95/p99.
+    /// The same latencies as `latency`, over trailing windows, for live
+    /// p50/p95/p99.
     pub(crate) latency_window: RollingHistogram,
     /// Per-op breakdown, indexed like [`OP_NAMES`].
     pub(crate) ops: Vec<OpInstruments>,
@@ -217,13 +218,23 @@ pub(crate) struct ServerState {
 }
 
 impl ServerState {
-    /// Records one answered request into the live metrics plane:
-    /// aggregate window instruments, the per-op breakdown, and — when the
-    /// response is an error — the per-kind error counters.
-    pub(crate) fn observe(&self, op_idx: usize, resp: &Response, elapsed: Duration) {
+    /// Records one answered request into the live metrics plane: the
+    /// request-rate window, the per-op breakdown, the per-kind error
+    /// counters for an error, and the server-wide latency histograms.
+    ///
+    /// Only `queued` (data-plane) requests that got a real answer reach
+    /// the latency histograms, cumulative and windowed alike: load-shedding
+    /// rejects ([`ErrorKind::is_shed`]) answer in microseconds, and under
+    /// overload they would drag every percentile toward zero.
+    pub(crate) fn observe(&self, op_idx: usize, resp: &Response, elapsed: Duration, queued: bool) {
         let secs = elapsed.as_secs_f64();
         self.requests_window.inc();
-        self.latency_window.record(secs);
+        let shed = matches!(resp, Response::Error { kind, .. } if kind.is_shed());
+        if queued && !shed {
+            self.latency.record(secs);
+            self.latency_window.record(secs);
+            self.requests.inc();
+        }
         let op = &self.ops[op_idx];
         op.requests.inc();
         op.latency.record(secs);

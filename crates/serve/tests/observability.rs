@@ -278,6 +278,83 @@ fn overloaded_burst_leaves_queue_depth_zero() {
     server.shutdown();
 }
 
+/// Regression: load-shedding rejects stay out of the windowed latency
+/// histogram, as they stay out of the cumulative one. A burst of
+/// microsecond `overloaded` replies outnumbering the answered requests
+/// must not pull the live p50 down to reject latency.
+#[test]
+fn windowed_latency_excludes_shed_rejects() {
+    let panel = synth(2, 23);
+    let model = DecisionModel::untrained(CitConfig::smoke(23), 2).unwrap();
+    let cfg = ServeConfig {
+        max_batch: 1,
+        queue_cap: 2,
+        debug_ops: true,
+        ..Default::default()
+    };
+    let server = Server::start(model, cfg).unwrap();
+    let addr = server.addr();
+    let mut setup = Client::connect(addr).unwrap();
+    assert!(setup
+        .call(&Request::Open {
+            session: "s".into(),
+            prices: rows(&panel, 0, 40),
+        })
+        .unwrap()
+        .ok());
+
+    // Stall the batcher so the answered requests each take >= 100 ms,
+    // fill the queue, then burst rejects that are answered at once.
+    let stall = std::thread::spawn(move || {
+        let mut c = Client::connect(addr).unwrap();
+        c.call(&Request::Sleep { ms: 400 }).unwrap()
+    });
+    std::thread::sleep(Duration::from_millis(100));
+    let fillers: Vec<_> = (0..2)
+        .map(|_| {
+            std::thread::spawn(move || {
+                let mut c = Client::connect(addr).unwrap();
+                c.call(&Request::Decide {
+                    session: "s".into(),
+                    prices: vec![],
+                })
+                .unwrap()
+            })
+        })
+        .collect();
+    std::thread::sleep(Duration::from_millis(100));
+    for _ in 0..24 {
+        let reply = setup
+            .call(&Request::Decide {
+                session: "s".into(),
+                prices: vec![],
+            })
+            .unwrap();
+        assert_eq!(reply.error_kind(), Some(ErrorKind::Overloaded));
+    }
+    assert!(stall.join().unwrap().ok());
+    for f in fillers {
+        assert!(f.join().unwrap().ok());
+    }
+
+    // Answered: open, sleep, two decides. Rejected: 24 decides.
+    let stats = server.stats();
+    assert_eq!(
+        stats.requests_total, 28,
+        "the request count still has rejects"
+    );
+    let w10 = stats.windows.iter().find(|w| w.secs == 10).expect("10s");
+    assert_eq!(w10.requests, 28);
+    // Three of the four answered requests waited >= 100 ms behind the
+    // stall; with the rejects counted the median would be theirs (µs).
+    assert!(
+        w10.p50_us >= 50_000.0,
+        "windowed p50 {} µs reflects rejects, not answered requests",
+        w10.p50_us
+    );
+    server.shutdown();
+}
+
 /// `stats` reports the identity of the loaded checkpoint and follows a
 /// successful hot reload; a failed reload leaves it untouched.
 #[test]

@@ -22,7 +22,9 @@
 //! thread-local scratch buffer so the micro-kernel inner loop is a
 //! contiguous unrolled axpy regardless of the source layout — this is what
 //! fixes the former ~7× `nt` slowdown from its strided `bt[(j+c)·k+p]`
-//! inner load.
+//! inner load. A small row-major `nn` `B` whose width is whole register
+//! tiles (the TCN convs and the attention mix at paper scale) already has
+//! that shape row by row, so the `nn` kernel reads it in place instead.
 //!
 //! ## Determinism contract
 //!
@@ -35,8 +37,26 @@
 //! across schemes, autotuner decisions and thread counts (proven by
 //! `crates/core/tests/determinism.rs` and the bitwise shape sweep in
 //! `crates/tensor/tests/kernel_parity.rs`).
+//!
+//! ## Instruction-set dispatch
+//!
+//! The kernels are compiled twice: once for the build's baseline target and
+//! once under `#[target_feature(enable = "avx2")]`. The AVX2 copy is picked
+//! at runtime when the CPU reports AVX2 ([`simd_level`]), otherwise the
+//! portable copy runs. Both copies come from the same source loops, and
+//! Rust never contracts `a * b + c` into a fused multiply-add, so every
+//! lane performs the same IEEE multiply then add in the same ascending
+//! reduction order — the AVX2 copy is bit-identical to the portable one,
+//! only wider (`kernels/simd_parity.rs`). The one hardware-defined
+//! exception is NaN payloads: when an add meets two NaNs with different
+//! bits, which one survives depends on the operand order the code
+//! generator chose for that copy; a NaN result is NaN in both. FMA and `-C target-cpu=native` are deliberately
+//! not used: the first rounds once instead of twice and so changes bits,
+//! the second makes the binary fault on CPUs without the build host's
+//! features.
 
 use std::cell::RefCell;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 /// The operand layout of a matmul kernel, used to key tiling-scheme
@@ -67,6 +87,25 @@ impl MatmulLayout {
 /// autotuner uses this list as its candidate grid.
 pub const SUPPORTED_REGISTER_TILES: &[(usize, usize)] =
     &[(2, 8), (4, 4), (4, 8), (8, 4), (8, 8), (4, 16), (8, 16)];
+
+/// The candidate schemes the autotuner benches for `layout` — small on
+/// purpose, since the one-shot bench must stay in the low-millisecond range
+/// per size class. nn/nt share the packed-panel kernel, so the register
+/// tile is the lever and cache blocks come from the defaults; tn is an
+/// axpy kernel that ignores `mr`/`nr`, so `mc`/`nc` are the lever.
+pub fn candidate_schemes(layout: MatmulLayout) -> Vec<TilingScheme> {
+    let d = TilingScheme::default_for(layout);
+    match layout {
+        MatmulLayout::Nn | MatmulLayout::Nt => SUPPORTED_REGISTER_TILES
+            .iter()
+            .map(|&(mr, nr)| TilingScheme::new(mr, nr, d.mc, d.kc, d.nc).validated())
+            .collect(),
+        MatmulLayout::Tn => [(32, 256), (64, 256), (64, 512), (128, 512)]
+            .iter()
+            .map(|&(mc, nc)| TilingScheme::new(d.mr, d.nr, mc, d.kc, nc).validated())
+            .collect(),
+    }
+}
 
 /// A runtime tile-shape decomposition for the matmul kernels, following
 /// the global/stage/tile split of cubecl-matmul: a register tile
@@ -178,12 +217,21 @@ pub type SchemeProvider =
     Box<dyn Fn(MatmulLayout, usize, usize, usize) -> TilingScheme + Send + Sync>;
 
 static PROVIDER: OnceLock<SchemeProvider> = OnceLock::new();
+/// Set while a forced scheme is installed, so the common unforced path is
+/// one atomic load instead of a lock. The `Release` store in
+/// [`force_scheme`] pairs with the `Acquire` load in [`resolve_scheme`];
+/// the scheme itself is only ever read under `FORCED`'s lock.
+static FORCED_SET: AtomicBool = AtomicBool::new(false);
 static FORCED: Mutex<Option<TilingScheme>> = Mutex::new(None);
 
 /// Installs the process-global scheme provider (one-shot; returns `false`
-/// if a provider was already installed). The provider is consulted by
-/// every matmul call that is not covered by a forced scheme, so it must be
-/// cheap on its hit path.
+/// if a provider was already installed).
+///
+/// The provider runs inside every matmul call that no forced scheme or
+/// `CIT_TILING` override covers — hundreds of times per served decision —
+/// so its hit path must not lock: the `cit-compute` autotuner answers hits
+/// from a fixed table of published winners with one atomic load and takes
+/// its mutex only on a miss, to tune and persist a new size class.
 pub fn install_scheme_provider(provider: SchemeProvider) -> bool {
     PROVIDER.set(provider).is_ok()
 }
@@ -197,6 +245,7 @@ pub fn force_scheme(scheme: Option<TilingScheme>) {
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
     *guard = scheme.map(TilingScheme::validated);
+    FORCED_SET.store(guard.is_some(), Ordering::Release);
 }
 
 fn env_forced() -> Option<TilingScheme> {
@@ -211,13 +260,17 @@ fn env_forced() -> Option<TilingScheme> {
 
 /// The scheme a kernel call with this layout and problem size will use.
 /// Resolution order: [`force_scheme`] → `CIT_TILING` env override →
-/// installed provider → [`TilingScheme::default_for`].
+/// installed provider → [`TilingScheme::default_for`]. Only a forced scheme
+/// takes a lock; an unforced call costs an atomic flag load, the cached env
+/// lookup and the provider's hit path.
 pub fn resolve_scheme(layout: MatmulLayout, m: usize, k: usize, n: usize) -> TilingScheme {
-    if let Some(s) = *FORCED
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-    {
-        return s;
+    if FORCED_SET.load(Ordering::Acquire) {
+        if let Some(s) = *FORCED
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        {
+            return s;
+        }
     }
     if let Some(s) = env_forced() {
         return s;
@@ -273,50 +326,105 @@ fn check_dims(name: &str, m: usize, k: usize, n: usize, a: usize, b: usize, out:
     assert!(out >= m * n, "{name}: out has {out} elements, need {m}x{n}");
 }
 
-/// One register tile: accumulates `rows`×`cols` output elements over the
-/// full reduction `k` against a packed panel tile (`bp[p·NR + c]`).
+/// One register tile of `rows ≤ MR` output rows. An edge tile
+/// (`rows < MR`) is split into full-height tiles of 4, 2 and 1 rows, so
+/// every tile's row loop has a compile-time bound (which keeps its
+/// accumulators in registers) and no lane computes a row it does not store.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn micro_rows<const MR: usize, const NR: usize>(
+    k: usize,
+    a: &[f32],
+    lda: usize,
+    bp: &[f32],
+    ldb: usize,
+    out: &mut [f32],
+    ldc: usize,
+    rows: usize,
+    cols: usize,
+) {
+    debug_assert!(rows <= MR);
+    if rows == MR {
+        micro_packed::<MR, NR>(k, a, lda, bp, ldb, out, ldc, cols);
+        return;
+    }
+    let mut r = 0;
+    while r < rows {
+        let (a, out) = (&a[r * lda..], &mut out[r * ldc..]);
+        r += match rows - r {
+            left if left >= 4 && MR > 4 => {
+                micro_packed::<4, NR>(k, a, lda, bp, ldb, out, ldc, cols);
+                4
+            }
+            left if left >= 2 && MR > 2 => {
+                micro_packed::<2, NR>(k, a, lda, bp, ldb, out, ldc, cols);
+                2
+            }
+            _ => {
+                micro_packed::<1, NR>(k, a, lda, bp, ldb, out, ldc, cols);
+                1
+            }
+        };
+    }
+}
+
+/// One full-height register tile: accumulates `MR`×`cols` output elements
+/// over the full reduction `k` against a panel tile holding row `p` of `B`
+/// at `bp[p·ldb ..]` (`ldb = NR` when packed, `n` when read in place).
 ///
 /// Seeds the accumulators from `out` and walks `p` strictly ascending, so
 /// the per-element association is independent of `MR`/`NR` — the
 /// determinism contract. Dead lanes (`c >= cols`) read packed zeros and are
 /// never stored.
 #[allow(clippy::too_many_arguments)]
-#[inline]
+#[inline(always)]
 fn micro_packed<const MR: usize, const NR: usize>(
     k: usize,
     a: &[f32],
     lda: usize,
     bp: &[f32],
+    ldb: usize,
     out: &mut [f32],
     ldc: usize,
-    rows: usize,
     cols: usize,
 ) {
-    debug_assert!(rows <= MR && cols <= NR);
-    if rows == MR && cols == NR {
-        micro_packed_full::<MR, NR>(k, a, lda, bp, out, ldc);
+    debug_assert!(cols <= NR);
+    let mut acc = [[0.0f32; NR]; MR];
+    if cols == NR {
+        for (r, accr) in acc.iter_mut().enumerate() {
+            accr.copy_from_slice(&out[r * ldc..r * ldc + NR]);
+        }
+        micro_accumulate::<MR, NR>(k, a, lda, bp, ldb, &mut acc);
+        for (r, accr) in acc.iter().enumerate() {
+            out[r * ldc..r * ldc + NR].copy_from_slice(accr);
+        }
     } else {
-        micro_packed_edge::<MR, NR>(k, a, lda, bp, out, ldc, rows, cols);
+        for (r, accr) in acc.iter_mut().enumerate() {
+            accr[..cols].copy_from_slice(&out[r * ldc..r * ldc + cols]);
+        }
+        micro_accumulate::<MR, NR>(k, a, lda, bp, ldb, &mut acc);
+        for (r, accr) in acc.iter().enumerate() {
+            out[r * ldc..r * ldc + cols].copy_from_slice(&accr[..cols]);
+        }
     }
 }
 
-/// Full-tile fast path: every bound is a compile-time constant, so the
-/// accumulator tile stays in registers across the whole reduction.
-#[inline]
-fn micro_packed_full<const MR: usize, const NR: usize>(
+/// The reduction of one register tile: `tile[r][c] += a[r, p] · b[p, c]`
+/// for `p` ascending. It works on a local copy of the tile: with every
+/// bound a compile-time constant the copy stays in registers across the
+/// whole reduction, whatever partial copies seeded it.
+#[inline(always)]
+fn micro_accumulate<const MR: usize, const NR: usize>(
     k: usize,
     a: &[f32],
     lda: usize,
     bp: &[f32],
-    out: &mut [f32],
-    ldc: usize,
+    ldb: usize,
+    tile: &mut [[f32; NR]; MR],
 ) {
-    let mut acc = [[0.0f32; NR]; MR];
-    for (r, accr) in acc.iter_mut().enumerate() {
-        accr.copy_from_slice(&out[r * ldc..r * ldc + NR]);
-    }
+    let mut acc = *tile;
     for p in 0..k {
-        let brow = &bp[p * NR..p * NR + NR];
+        let brow = &bp[p * ldb..p * ldb + NR];
         for (r, accr) in acc.iter_mut().enumerate() {
             let av = a[r * lda + p];
             for (slot, &bv) in accr.iter_mut().zip(brow) {
@@ -324,48 +432,14 @@ fn micro_packed_full<const MR: usize, const NR: usize>(
             }
         }
     }
-    for (r, accr) in acc.iter().enumerate() {
-        out[r * ldc..r * ldc + NR].copy_from_slice(accr);
-    }
-}
-
-/// Edge-tile path (`rows < MR` and/or `cols < NR`): same seed-from-`out`,
-/// ascending-`p` association on the live lanes; dead lanes read packed
-/// zeros and are never stored.
-#[allow(clippy::too_many_arguments)]
-fn micro_packed_edge<const MR: usize, const NR: usize>(
-    k: usize,
-    a: &[f32],
-    lda: usize,
-    bp: &[f32],
-    out: &mut [f32],
-    ldc: usize,
-    rows: usize,
-    cols: usize,
-) {
-    let mut acc = [[0.0f32; NR]; MR];
-    for (r, accr) in acc.iter_mut().enumerate().take(rows) {
-        accr[..cols].copy_from_slice(&out[r * ldc..r * ldc + cols]);
-    }
-    for p in 0..k {
-        let brow = &bp[p * NR..p * NR + NR];
-        for (r, accr) in acc.iter_mut().enumerate().take(rows) {
-            let av = a[r * lda + p];
-            for (slot, &bv) in accr.iter_mut().zip(brow) {
-                *slot += av * bv;
-            }
-        }
-    }
-    for (r, accr) in acc.iter().enumerate().take(rows) {
-        out[r * ldc..r * ldc + cols].copy_from_slice(&accr[..cols]);
-    }
+    *tile = acc;
 }
 
 /// Dispatches on the validated register-tile shape to a monomorphised
 /// micro-kernel. `(4,16)` is the fallback arm, matching
 /// [`TilingScheme::validated`].
 #[allow(clippy::too_many_arguments)]
-#[inline]
+#[inline(always)]
 fn run_micro(
     mr: usize,
     nr: usize,
@@ -373,19 +447,20 @@ fn run_micro(
     a: &[f32],
     lda: usize,
     bp: &[f32],
+    ldb: usize,
     out: &mut [f32],
     ldc: usize,
     rows: usize,
     cols: usize,
 ) {
     match (mr, nr) {
-        (2, 8) => micro_packed::<2, 8>(k, a, lda, bp, out, ldc, rows, cols),
-        (4, 4) => micro_packed::<4, 4>(k, a, lda, bp, out, ldc, rows, cols),
-        (4, 8) => micro_packed::<4, 8>(k, a, lda, bp, out, ldc, rows, cols),
-        (8, 4) => micro_packed::<8, 4>(k, a, lda, bp, out, ldc, rows, cols),
-        (8, 8) => micro_packed::<8, 8>(k, a, lda, bp, out, ldc, rows, cols),
-        (8, 16) => micro_packed::<8, 16>(k, a, lda, bp, out, ldc, rows, cols),
-        _ => micro_packed::<4, 16>(k, a, lda, bp, out, ldc, rows, cols),
+        (2, 8) => micro_rows::<2, 8>(k, a, lda, bp, ldb, out, ldc, rows, cols),
+        (4, 4) => micro_rows::<4, 4>(k, a, lda, bp, ldb, out, ldc, rows, cols),
+        (4, 8) => micro_rows::<4, 8>(k, a, lda, bp, ldb, out, ldc, rows, cols),
+        (8, 4) => micro_rows::<8, 4>(k, a, lda, bp, ldb, out, ldc, rows, cols),
+        (8, 8) => micro_rows::<8, 8>(k, a, lda, bp, ldb, out, ldc, rows, cols),
+        (8, 16) => micro_rows::<8, 16>(k, a, lda, bp, ldb, out, ldc, rows, cols),
+        _ => micro_rows::<4, 16>(k, a, lda, bp, ldb, out, ldc, rows, cols),
     }
 }
 
@@ -469,9 +544,20 @@ fn pack_panel_nt(
 /// second operand in tile-major `[tile][p][lane]` order.
 type PackFn = fn(&mut [f32], &[f32], usize, usize, usize, usize, usize, usize);
 
+/// Largest row-major `B` (in elements, 32 KiB) the nn kernel reads in
+/// place: small enough to stay cache-resident while every row tile of `A`
+/// sweeps it, so the packing copy would buy no locality.
+const IN_PLACE_MAX: usize = 8 * 1024;
+
 /// Shared nn/nt driver: packs one `nc`-column panel at a time, then sweeps
 /// `mc`-row cache blocks of register tiles over it.
+///
+/// `in_place` says `B` is row-major `[k, n]`, i.e. its rows already hold
+/// `nr`-lane tiles at stride `n`. When every tile is full width and `B` is
+/// small, the micro-kernels then read it directly and the packing copy is
+/// skipped; the arithmetic, and so every bit, is the same either way.
 #[allow(clippy::too_many_arguments)]
+#[inline(always)]
 fn matmul_packed_acc(
     scheme: TilingScheme,
     m: usize,
@@ -481,45 +567,209 @@ fn matmul_packed_acc(
     b: &[f32],
     out: &mut [f32],
     pack: PackFn,
+    in_place: bool,
 ) {
-    let TilingScheme { mr, nr, mc, kc, nc } = scheme.validated();
+    let scheme = scheme.validated();
+    let TilingScheme { nr, kc, nc, .. } = scheme;
+    if in_place && n.is_multiple_of(nr) && k * n <= IN_PLACE_MAX {
+        sweep_panel(scheme, m, k, a, b, n, nr, out, n, 0, n);
+        return;
+    }
     let mut buf = PACK_BUF.with(RefCell::take);
     let mut j0 = 0;
     while j0 < n {
         let jb = nc.min(n - j0);
-        let ntiles = jb.div_ceil(nr);
-        buf.resize(ntiles * k * nr, 0.0);
+        buf.resize(jb.div_ceil(nr) * k * nr, 0.0);
         pack(&mut buf, b, k, n, j0, jb, nr, kc);
+        sweep_panel(scheme, m, k, a, &buf, nr, k * nr, out, n, j0, jb);
+        j0 += nc;
+    }
+    PACK_BUF.with(|p| p.replace(buf));
+}
+
+/// Sweeps `mc`-row cache blocks of register tiles over the output columns
+/// `j0 .. j0+jb`, whose `B` tiles start `tile_stride` apart in `panel`
+/// with rows `ldb` apart. `scheme` is already validated.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn sweep_panel(
+    scheme: TilingScheme,
+    m: usize,
+    k: usize,
+    a: &[f32],
+    panel: &[f32],
+    ldb: usize,
+    tile_stride: usize,
+    out: &mut [f32],
+    n: usize,
+    j0: usize,
+    jb: usize,
+) {
+    let TilingScheme { mr, nr, mc, .. } = scheme;
+    let mut i0 = 0;
+    while i0 < m {
+        let ib = mc.min(m - i0);
+        let mut ii = 0;
+        while ii < ib {
+            let i = i0 + ii;
+            let rows = mr.min(ib - ii);
+            for t in 0..jb.div_ceil(nr) {
+                let j = j0 + t * nr;
+                let cols = nr.min(j0 + jb - j);
+                run_micro(
+                    mr,
+                    nr,
+                    k,
+                    &a[i * k..],
+                    k,
+                    &panel[t * tile_stride..],
+                    ldb,
+                    &mut out[i * n + j..],
+                    n,
+                    rows,
+                    cols,
+                );
+            }
+            ii += mr;
+        }
+        i0 += mc;
+    }
+}
+
+/// The outer-product tn kernel: for each reduction index `p` a row of `B`
+/// is broadcast-multiplied into a block of `out` rows, so the inner loop is
+/// a contiguous axpy. `mc`/`nc` block the output panel to keep it
+/// cache-resident; per output element the `p` loop is still outermost and
+/// ascending, so the determinism contract holds.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn matmul_tn_axpy(
+    scheme: TilingScheme,
+    m: usize,
+    k: usize,
+    n: usize,
+    at: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+) {
+    let TilingScheme { mc, nc, .. } = scheme.validated();
+    let mut j0 = 0;
+    while j0 < n {
+        let jb = nc.min(n - j0);
         let mut i0 = 0;
         while i0 < m {
             let ib = mc.min(m - i0);
-            let mut ii = 0;
-            while ii < ib {
-                let i = i0 + ii;
-                let rows = mr.min(ib - ii);
-                for t in 0..ntiles {
-                    let j = j0 + t * nr;
-                    let cols = nr.min(j0 + jb - j);
-                    run_micro(
-                        mr,
-                        nr,
-                        k,
-                        &a[i * k..],
-                        k,
-                        &buf[t * k * nr..(t + 1) * k * nr],
-                        &mut out[i * n + j..],
-                        n,
-                        rows,
-                        cols,
-                    );
+            for p in 0..k {
+                let arow = &at[p * m..p * m + m];
+                let brow = &b[p * n + j0..p * n + j0 + jb];
+                for r in 0..ib {
+                    let av = arow[i0 + r];
+                    let dst = &mut out[(i0 + r) * n + j0..(i0 + r) * n + j0 + jb];
+                    for (d, &bv) in dst.iter_mut().zip(brow) {
+                        *d += av * bv;
+                    }
                 }
-                ii += mr;
             }
             i0 += mc;
         }
         j0 += nc;
     }
-    PACK_BUF.with(|p| p.replace(buf));
+}
+
+/// One dimension-checked matmul under an explicit scheme: the unit the
+/// instruction-set dispatch compiles twice (see the module docs).
+pub(crate) struct MatmulCall<'a> {
+    pub(crate) layout: MatmulLayout,
+    pub(crate) scheme: TilingScheme,
+    pub(crate) m: usize,
+    pub(crate) k: usize,
+    pub(crate) n: usize,
+    /// `A`, stored `[k, m]` for [`MatmulLayout::Tn`].
+    pub(crate) a: &'a [f32],
+    /// `B`, stored `[n, k]` for [`MatmulLayout::Nt`].
+    pub(crate) b: &'a [f32],
+    pub(crate) out: &'a mut [f32],
+}
+
+impl MatmulCall<'_> {
+    /// The kernel body, inlined into each compiled copy so the whole call
+    /// tree down to the micro-kernels inherits that copy's target features.
+    #[inline(always)]
+    fn execute(self) {
+        let MatmulCall {
+            layout,
+            scheme,
+            m,
+            k,
+            n,
+            a,
+            b,
+            out,
+        } = self;
+        match layout {
+            MatmulLayout::Nn => matmul_packed_acc(scheme, m, k, n, a, b, out, pack_panel_nn, true),
+            MatmulLayout::Nt => matmul_packed_acc(scheme, m, k, n, a, b, out, pack_panel_nt, false),
+            MatmulLayout::Tn => matmul_tn_axpy(scheme, m, k, n, a, b, out),
+        }
+    }
+}
+
+/// `true` when this CPU can run the AVX2 copy of the kernels. The standard
+/// library caches the CPUID answer, so this is one atomic load per call.
+#[inline]
+fn avx2_detected() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("avx2")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// The compiled copy of the matmul kernels this process runs: `"avx2"` on
+/// x86-64 CPUs that report AVX2, `"portable"` everywhere else. Both copies
+/// produce identical bits; only throughput differs.
+pub fn simd_level() -> &'static str {
+    if avx2_detected() {
+        "avx2"
+    } else {
+        "portable"
+    }
+}
+
+/// The baseline-target copy of the kernels: the fallback on CPUs without
+/// AVX2, and the reference the dispatched copy is tested against.
+pub(crate) fn execute_portable(call: MatmulCall<'_>) {
+    call.execute();
+}
+
+/// The AVX2 copy of the kernels: the same source as [`execute_portable`],
+/// compiled with 256-bit vectors enabled (and without FMA).
+///
+/// # Safety
+///
+/// The CPU running this must support AVX2; calling it elsewhere is
+/// undefined behaviour (typically an illegal-instruction fault). Callers
+/// must check `is_x86_feature_detected!("avx2")` first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn execute_avx2(call: MatmulCall<'_>) {
+    call.execute();
+}
+
+/// Runs one matmul on the fastest compiled copy this CPU supports.
+fn execute(call: MatmulCall<'_>) {
+    #[cfg(target_arch = "x86_64")]
+    if avx2_detected() {
+        // SAFETY: `avx2_detected` has just confirmed through
+        // `is_x86_feature_detected!("avx2")` that this CPU executes AVX2
+        // instructions, the only precondition of `execute_avx2`.
+        unsafe { execute_avx2(call) };
+        return;
+    }
+    execute_portable(call);
 }
 
 /// `out[i,j] += Σ_p a[i,p]·b[p,j]` — `A [m,k] · B [k,n]` under the
@@ -540,7 +790,16 @@ pub fn matmul_nn_acc_with(
     out: &mut [f32],
 ) {
     check_dims("matmul_nn_acc", m, k, n, a.len(), b.len(), out.len());
-    matmul_packed_acc(scheme, m, k, n, a, b, out, pack_panel_nn);
+    execute(MatmulCall {
+        layout: MatmulLayout::Nn,
+        scheme,
+        m,
+        k,
+        n,
+        a,
+        b,
+        out,
+    });
 }
 
 /// Freshly allocated `A·B` (`A [m,k]`, `B [k,n]`), zero-initialised then
@@ -572,7 +831,16 @@ pub fn matmul_nt_acc_with(
 ) {
     // bt holds n rows of k elements; k*n == n*k, so check_dims covers it.
     check_dims("matmul_nt_acc", m, k, n, a.len(), bt.len(), out.len());
-    matmul_packed_acc(scheme, m, k, n, a, bt, out, pack_panel_nt);
+    execute(MatmulCall {
+        layout: MatmulLayout::Nt,
+        scheme,
+        m,
+        k,
+        n,
+        a,
+        b: bt,
+        out,
+    });
 }
 
 /// Freshly allocated `A·Bᵀ` (`A [m,k]`, `B` stored `[n,k]`).
@@ -583,13 +851,7 @@ pub fn matmul_nt(m: usize, k: usize, n: usize, a: &[f32], bt: &[f32]) -> Vec<f32
 }
 
 /// `out[i,j] += Σ_p at[p,i]·b[p,j]` — `Aᵀ·B` with `A` stored `[k,m]`,
-/// under the resolved tiling scheme.
-///
-/// Outer-product form: for each reduction index `p` a row of `B` is
-/// broadcast-multiplied into a block of `out` rows, so the inner loop is a
-/// contiguous axpy. `mc`/`nc` block the output panel to keep it
-/// cache-resident; per output element the `p` loop is still outermost and
-/// ascending, so the determinism contract holds.
+/// under the resolved tiling scheme, as an outer-product axpy sweep.
 pub fn matmul_tn_acc(m: usize, k: usize, n: usize, at: &[f32], b: &[f32], out: &mut [f32]) {
     let scheme = resolve_scheme(MatmulLayout::Tn, m, k, n);
     matmul_tn_acc_with(scheme, m, k, n, at, b, out);
@@ -607,28 +869,16 @@ pub fn matmul_tn_acc_with(
 ) {
     // at holds k rows of m elements; k*m == m*k, so check_dims covers it.
     check_dims("matmul_tn_acc", m, k, n, at.len(), b.len(), out.len());
-    let TilingScheme { mc, nc, .. } = scheme.validated();
-    let mut j0 = 0;
-    while j0 < n {
-        let jb = nc.min(n - j0);
-        let mut i0 = 0;
-        while i0 < m {
-            let ib = mc.min(m - i0);
-            for p in 0..k {
-                let arow = &at[p * m..p * m + m];
-                let brow = &b[p * n + j0..p * n + j0 + jb];
-                for r in 0..ib {
-                    let av = arow[i0 + r];
-                    let dst = &mut out[(i0 + r) * n + j0..(i0 + r) * n + j0 + jb];
-                    for (d, &bv) in dst.iter_mut().zip(brow) {
-                        *d += av * bv;
-                    }
-                }
-            }
-            i0 += mc;
-        }
-        j0 += nc;
-    }
+    execute(MatmulCall {
+        layout: MatmulLayout::Tn,
+        scheme,
+        m,
+        k,
+        n,
+        a: at,
+        b,
+        out,
+    });
 }
 
 /// Freshly allocated `Aᵀ·B` (`A` stored `[k,m]`, `B [k,n]`).
@@ -712,6 +962,9 @@ pub fn col2im_acc(gcol: &[f32], cin: usize, l: usize, k: usize, dilation: usize,
 }
 
 #[cfg(test)]
+mod simd_parity;
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -791,21 +1044,24 @@ mod tests {
 
     #[test]
     fn every_supported_register_tile_is_bitwise_vs_reference() {
-        let (m, k, n) = (19, 23, 21);
-        let a = fill(m * k, 9);
-        let b = fill(k * n, 10);
-        let reference = matmul_ref(m, k, n, &a, &b);
-        for &(mr, nr) in SUPPORTED_REGISTER_TILES {
-            for (mc, kc, nc) in [(64, 256, 256), (8, 8, 16)] {
-                let scheme = TilingScheme::new(mr, nr, mc, kc, nc).validated();
-                let mut out = vec![0.0f32; m * n];
-                matmul_nn_acc_with(scheme, m, k, n, &a, &b, &mut out);
-                assert_eq!(
-                    out,
-                    reference,
-                    "nn scheme {} not bitwise vs reference",
-                    scheme.encode()
-                );
+        // n = 21 packs every panel; n = 32 is whole register tiles for
+        // every `nr`, so the nn kernel reads `B` in place.
+        for (m, k, n) in [(19, 23, 21), (19, 23, 32)] {
+            let a = fill(m * k, 9);
+            let b = fill(k * n, 10);
+            let reference = matmul_ref(m, k, n, &a, &b);
+            for &(mr, nr) in SUPPORTED_REGISTER_TILES {
+                for (mc, kc, nc) in [(64, 256, 256), (8, 8, 16)] {
+                    let scheme = TilingScheme::new(mr, nr, mc, kc, nc).validated();
+                    let mut out = vec![0.0f32; m * n];
+                    matmul_nn_acc_with(scheme, m, k, n, &a, &b, &mut out);
+                    assert_eq!(
+                        out,
+                        reference,
+                        "nn {m}x{k}x{n} scheme {} not bitwise vs reference",
+                        scheme.encode()
+                    );
+                }
             }
         }
     }

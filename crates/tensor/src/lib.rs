@@ -25,6 +25,8 @@
 //! ```
 
 #![deny(missing_docs)]
+#![deny(unsafe_op_in_unsafe_fn)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 mod backward;
 pub mod gradcheck;
