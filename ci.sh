@@ -12,6 +12,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test"
 cargo test --workspace -q
 
+echo "== request decoder soak (differential, fixed seed)"
+# One million generated and damaged request lines: the one-pass decoder
+# behind Request::parse must match the Json-tree reference on every one.
+cargo test -p cit-serve --release -q --test decode_diff -- --ignored decoder_soak_matches_tree_parse
+
 echo "== cargo doc (deny warnings) + doctests"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 cargo test --workspace --doc -q

@@ -24,11 +24,11 @@ use std::time::{Duration, Instant};
 
 /// RAII occupancy of the batcher queue: construction increments the
 /// shared depth (and mirrors it into the `serve.queue_depth` gauge),
-/// drop decrements. Owned by [`Job`], so *every* way a job exits the
-/// queue — answered, rejected on a full channel (`try_send` hands the
-/// job back), drained at shutdown, or unwound past by a panicking
-/// handler — restores the gauge. A burst of `overloaded` rejects must
-/// leave the depth at zero.
+/// drop decrements. Owned by a job's [`ReplyHandle`], so *every* way a
+/// job exits the queue — answered, rejected on a full channel
+/// (`try_send` hands the job back), drained at shutdown, or unwound past
+/// by a panicking handler — restores the gauge. A burst of `overloaded`
+/// rejects must leave the depth at zero.
 pub(crate) struct DepthGuard {
     depth: Arc<AtomicI64>,
     gauge: Gauge,
@@ -54,25 +54,38 @@ impl Drop for DepthGuard {
 /// unanswered handle (batcher panic, drain that abandons work) answers
 /// the slot with a typed `shutting_down` error, so a client waiting on a
 /// response can never hang on a lost job.
+///
+/// The handle holds the job's queue-depth occupancy and releases it
+/// *before* the response is pushed: once the reactor can see a reply,
+/// the job no longer counts, so a `stats` sent after the last reply
+/// reads an empty queue.
 pub(crate) struct ReplyHandle {
     completions: Arc<Completions>,
     conn: u64,
     seq: u64,
+    depth: Option<DepthGuard>,
     sent: bool,
 }
 
 impl ReplyHandle {
-    pub(crate) fn new(completions: Arc<Completions>, conn: u64, seq: u64) -> ReplyHandle {
+    pub(crate) fn new(
+        completions: Arc<Completions>,
+        conn: u64,
+        seq: u64,
+        depth: DepthGuard,
+    ) -> ReplyHandle {
         ReplyHandle {
             completions,
             conn,
             seq,
+            depth: Some(depth),
             sent: false,
         }
     }
 
     pub(crate) fn send(mut self, resp: Response) {
         self.sent = true;
+        self.depth = None;
         self.completions.push(self.conn, self.seq, resp);
     }
 
@@ -85,6 +98,7 @@ impl ReplyHandle {
 
 impl Drop for ReplyHandle {
     fn drop(&mut self) {
+        self.depth = None;
         if !self.sent {
             self.completions.push(
                 self.conn,
@@ -102,14 +116,6 @@ pub(crate) struct Job {
     /// When the reactor enqueued the job — the clock
     /// [`crate::ServeConfig::request_deadline`] shedding runs against.
     pub(crate) enqueued: Instant,
-    /// Queue-depth occupancy, held only for its drop.
-    pub(crate) _depth: DepthGuard,
-}
-
-impl Job {
-    fn respond(self, resp: Response) {
-        self.reply.send(resp);
-    }
 }
 
 /// The batcher loop: runs until the channel disconnects (the reactor and
@@ -195,7 +201,7 @@ fn open_session(
     session: &str,
     model_req: &str,
     prices: &[Vec<f64>],
-    job: Job,
+    reply: ReplyHandle,
 ) {
     let slot = if model_req == crate::registry::AUTO_MODEL {
         let features = cit_core::regime_features(
@@ -210,7 +216,7 @@ fn open_session(
         match state.resolve_slot(model_req) {
             Ok(slot) => slot,
             Err(resp) => {
-                job.respond(resp);
+                reply.send(resp);
                 return;
             }
         }
@@ -255,7 +261,7 @@ fn open_session(
     if matches!(resp, Response::Error { .. }) {
         slot.errors.inc();
     }
-    job.respond(resp);
+    reply.send(resp);
 }
 
 /// Executes one batch: opens first (so a same-batch decide can see the
@@ -277,7 +283,7 @@ pub(crate) fn process_batch(state: &ServerState, mut batch: Vec<Job>) {
         let mut live = Vec::with_capacity(batch.len());
         for job in batch {
             if now.duration_since(job.enqueued) > deadline {
-                job.respond(Response::error(
+                job.reply.send(Response::error(
                     ErrorKind::DeadlineExceeded,
                     format!("request waited past its {deadline:?} deadline"),
                 ));
@@ -295,40 +301,40 @@ pub(crate) fn process_batch(state: &ServerState, mut batch: Vec<Job>) {
     // Decide jobs grouped by session name, first-seen order preserved.
     // Each job carries the model the client *expects* the session to be
     // pinned to (`None` for model-oblivious decides).
-    type DecideGroup = (String, Vec<(Vec<Vec<f64>>, Option<String>, Job)>);
+    type DecideGroup = (String, Vec<(Vec<Vec<f64>>, Option<String>, ReplyHandle)>);
     let mut decide_groups: Vec<DecideGroup> = Vec::new();
     let mut closes = Vec::new();
     let mut sleeps = Vec::new();
-    let mut push_decide = |session: String, prices, expected, job| match decide_groups
+    let mut push_decide = |session: String, prices, expected, reply| match decide_groups
         .iter_mut()
         .find(|(name, _)| *name == session)
     {
-        Some((_, jobs)) => jobs.push((prices, expected, job)),
-        None => decide_groups.push((session, vec![(prices, expected, job)])),
+        Some((_, jobs)) => jobs.push((prices, expected, reply)),
+        None => decide_groups.push((session, vec![(prices, expected, reply)])),
     };
-    for job in batch {
-        match job.req.clone() {
+    for Job { req, reply, .. } in batch {
+        match req {
             Request::Open { session, prices } => {
-                open_session(state, &session, "", &prices, job);
+                open_session(state, &session, "", &prices, reply);
             }
             Request::OpenAs {
                 session,
                 prices,
                 model,
             } => {
-                open_session(state, &session, &model, &prices, job);
+                open_session(state, &session, &model, &prices, reply);
             }
-            Request::Decide { session, prices } => push_decide(session, prices, None, job),
+            Request::Decide { session, prices } => push_decide(session, prices, None, reply),
             Request::DecideAs {
                 session,
                 prices,
                 model,
-            } => push_decide(session, prices, Some(model), job),
-            Request::Close { session } => closes.push((session, job)),
-            Request::Sleep { ms } => sleeps.push((ms, job)),
+            } => push_decide(session, prices, Some(model), reply),
+            Request::Close { session } => closes.push((session, reply)),
+            Request::Sleep { ms } => sleeps.push((ms, reply)),
             // Info/Stats/Reload/Shutdown are handled on the reactor and
             // never enqueued.
-            _ => job.respond(Response::error(
+            _ => reply.send(Response::error(
                 ErrorKind::BadRequest,
                 "operation cannot be queued",
             )),
@@ -346,8 +352,8 @@ pub(crate) fn process_batch(state: &ServerState, mut batch: Vec<Job>) {
                 let mut session = match checkout(state, &name) {
                     Ok(s) => s,
                     Err(resp) => {
-                        for (_, _, job) in jobs {
-                            job.respond(resp.clone());
+                        for (_, _, reply) in jobs {
+                            reply.send(resp.clone());
                         }
                         return;
                     }
@@ -361,9 +367,9 @@ pub(crate) fn process_batch(state: &ServerState, mut batch: Vec<Job>) {
                     .expect("resident session pinned to unhosted slot")
                     .clone();
                 let model = slot.current();
-                let replies: Vec<(Job, Response)> = jobs
+                let replies: Vec<(ReplyHandle, Response)> = jobs
                     .into_iter()
-                    .map(|(prices, expected, job)| {
+                    .map(|(prices, expected, reply)| {
                         // An explicit model on decide is a client-side
                         // guard: verify it names the session's slot.
                         if let Some(expected) = expected {
@@ -378,33 +384,33 @@ pub(crate) fn process_batch(state: &ServerState, mut batch: Vec<Job>) {
                                             slot.name
                                         ),
                                     );
-                                    return (job, resp);
+                                    return (reply, resp);
                                 }
-                                Err(resp) => return (job, resp),
+                                Err(resp) => return (reply, resp),
                             }
                         }
                         let resp = match session.decide(&model, &prices) {
                             Ok(r) => r,
                             Err(e) => e,
                         };
-                        (job, resp)
+                        (reply, resp)
                     })
                     .collect();
                 state.store.put_back(session);
-                for (job, resp) in replies {
+                for (reply, resp) in replies {
                     slot.requests.inc();
                     slot.requests_window.inc();
                     if matches!(resp, Response::Error { .. }) {
                         slot.errors.inc();
                     }
-                    job.respond(resp);
+                    reply.send(resp);
                 }
             }
         })
         .collect();
     parallel_map(state.threads, tasks);
 
-    for (name, job) in closes {
+    for (name, reply) in closes {
         // Resident sessions drop from the store; spilled sessions drop
         // from disk. Either counts as a successful close.
         let resident = state.store.take(&name).is_some();
@@ -418,12 +424,12 @@ pub(crate) fn process_batch(state: &ServerState, mut batch: Vec<Job>) {
         } else {
             Response::error(ErrorKind::UnknownSession, format!("no session {name:?}"))
         };
-        job.respond(resp);
+        reply.send(resp);
     }
     state.sessions_gauge.set(state.store.len() as f64);
 
-    for (ms, job) in sleeps {
+    for (ms, reply) in sleeps {
         std::thread::sleep(Duration::from_millis(ms));
-        job.respond(Response::Slept { ms });
+        reply.send(Response::Slept { ms });
     }
 }

@@ -191,15 +191,39 @@ impl Json {
     /// Parses one JSON value from `text` (trailing whitespace allowed,
     /// trailing garbage rejected).
     pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing characters at byte {pos}"));
-        }
+        let value = parse_value(text, &mut pos)?;
+        finish(text.as_bytes(), pos)?;
         Ok(value)
     }
+
+    /// [`Json::parse`] for a line that carries one large matrix. When
+    /// `text` is an object whose first member named `key` is an array of
+    /// number rows, that member is decoded straight into rows and left
+    /// out of the returned tree, so its numbers never become `Json`
+    /// values. Any other value of `key` stays in the tree, and
+    /// acceptance, values and error text are those of [`Json::parse`].
+    pub(crate) fn parse_with_rows(text: &str, key: &str) -> Result<ValueWithRows, String> {
+        let bytes = text.as_bytes();
+        let mut pos = 0usize;
+        skip_ws(bytes, &mut pos);
+        let parsed = if bytes.get(pos) == Some(&b'{') {
+            parse_object(text, &mut pos, Some(key))?
+        } else {
+            (parse_value(text, &mut pos)?, None)
+        };
+        finish(bytes, pos)?;
+        Ok(parsed)
+    }
+}
+
+/// Rejects anything but whitespace after the top-level value.
+fn finish(bytes: &[u8], mut pos: usize) -> Result<(), String> {
+    skip_ws(bytes, &mut pos);
+    if pos != bytes.len() {
+        return Err(format!("trailing characters at byte {pos}"));
+    }
+    Ok(())
 }
 
 fn render_string(s: &str, out: &mut String) {
@@ -226,17 +250,22 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+// The parser steps `pos` over whole characters only (every byte it
+// matches singly is ASCII, and string runs end at an ASCII byte), so
+// `pos` is always on a character boundary and `text` can be sliced at it.
+
+fn parse_value(text: &str, pos: &mut usize) -> Result<Json, String> {
+    let bytes = text.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
+        Some(b'{') => Ok(parse_object(text, pos, None)?.0),
+        Some(b'[') => parse_array(text, pos),
+        Some(b'"') => Ok(Json::Str(parse_string(text, pos)?)),
         Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
         Some(b'n') => parse_literal(bytes, pos, "null", Json::Null),
-        Some(_) => parse_number(bytes, pos),
+        Some(_) => parse_number(text, pos),
     }
 }
 
@@ -249,7 +278,11 @@ fn parse_literal(bytes: &[u8], pos: &mut usize, lit: &str, value: Json) -> Resul
     }
 }
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Scans the text of one number: an optional `-`, then every byte of
+/// `[0-9.eE+-]`. The text may be empty or malformed; `str::parse::<f64>`
+/// decides. Every number, in the tree and in rows, is read this way.
+fn number_text<'a>(text: &'a str, pos: &mut usize) -> &'a str {
+    let bytes = text.as_bytes();
     let start = *pos;
     if bytes.get(*pos) == Some(&b'-') {
         *pos += 1;
@@ -260,13 +293,81 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     ) {
         *pos += 1;
     }
-    let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
+    &text[start..*pos]
+}
+
+fn parse_number(text: &str, pos: &mut usize) -> Result<Json, String> {
+    let start = *pos;
+    let text = number_text(text, pos);
     text.parse::<f64>()
         .map(Json::Num)
         .map_err(|_| format!("invalid number {text:?} at byte {start}"))
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+/// Decodes an array of number rows (`[[1,2],[3]]`) straight into
+/// `Vec<Vec<f64>>`. Returns `None` at the first byte that does not fit
+/// such a matrix: another kind of value, a number `str::parse` refuses,
+/// a missing separator or the end of input. `pos` is then somewhere
+/// inside the value, and the caller re-reads the value from its start
+/// with [`parse_value`], which builds it or reports the error.
+fn parse_rows(text: &str, pos: &mut usize) -> Option<Vec<Vec<f64>>> {
+    let bytes = text.as_bytes();
+    let mut rows: Vec<Vec<f64>> = Vec::new();
+    if open_array(bytes, pos)? {
+        return Some(rows);
+    }
+    loop {
+        skip_ws(bytes, pos);
+        // Rows of one matrix are usually equally wide.
+        let mut row = Vec::with_capacity(rows.last().map_or(0, Vec::len));
+        if !open_array(bytes, pos)? {
+            loop {
+                skip_ws(bytes, pos);
+                if matches!(bytes.get(*pos)?, b'{' | b'[' | b'"' | b't' | b'f' | b'n') {
+                    return None;
+                }
+                row.push(number_text(text, pos).parse::<f64>().ok()?);
+                if close_or_comma(bytes, pos)? {
+                    break;
+                }
+            }
+        }
+        rows.push(row);
+        if close_or_comma(bytes, pos)? {
+            return Some(rows);
+        }
+    }
+}
+
+/// Consumes `[` and, when the array is empty, its `]` (`Some(true)`).
+fn open_array(bytes: &[u8], pos: &mut usize) -> Option<bool> {
+    if bytes.get(*pos) != Some(&b'[') {
+        return None;
+    }
+    *pos += 1;
+    skip_ws(bytes, pos);
+    let empty = bytes.get(*pos) == Some(&b']');
+    if empty {
+        *pos += 1;
+    }
+    Some(empty)
+}
+
+/// Consumes the `,` (`Some(false)`) or `]` (`Some(true)`) after an
+/// array element.
+fn close_or_comma(bytes: &[u8], pos: &mut usize) -> Option<bool> {
+    skip_ws(bytes, pos);
+    let closed = match bytes.get(*pos)? {
+        b',' => false,
+        b']' => true,
+        _ => return None,
+    };
+    *pos += 1;
+    Some(closed)
+}
+
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
+    let bytes = text.as_bytes();
     debug_assert_eq!(bytes[*pos], b'"');
     *pos += 1;
     let mut out = String::new();
@@ -305,17 +406,21 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 character (multi-byte safe).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().ok_or("unterminated string")?;
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run of plain characters up to the next quote or
+                // backslash (both ASCII, so the run ends on a boundary).
+                let run = bytes[*pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .unwrap_or(bytes.len() - *pos);
+                out.push_str(&text[*pos..*pos + run]);
+                *pos += run;
             }
         }
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_array(text: &str, pos: &mut usize) -> Result<Json, String> {
+    let bytes = text.as_bytes();
     *pos += 1; // '['
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -324,7 +429,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(text, pos)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -337,33 +442,57 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// A parsed value and the rows decoded out of it.
+type ValueWithRows = (Json, Option<Vec<Vec<f64>>>);
+
+/// Parses an object. With `rows_key`, the first member of that name is
+/// tried as rows first (see [`Json::parse_with_rows`]).
+fn parse_object(
+    text: &str,
+    pos: &mut usize,
+    mut rows_key: Option<&str>,
+) -> Result<ValueWithRows, String> {
+    let bytes = text.as_bytes();
     *pos += 1; // '{'
     let mut pairs = Vec::new();
+    let mut rows = None;
     skip_ws(bytes, pos);
     if bytes.get(*pos) == Some(&b'}') {
         *pos += 1;
-        return Ok(Json::Obj(pairs));
+        return Ok((Json::Obj(pairs), rows));
     }
     loop {
         skip_ws(bytes, pos);
         if bytes.get(*pos) != Some(&b'"') {
             return Err(format!("expected object key at byte {pos}", pos = *pos));
         }
-        let key = parse_string(bytes, pos)?;
+        let key = parse_string(text, pos)?;
         skip_ws(bytes, pos);
         if bytes.get(*pos) != Some(&b':') {
             return Err(format!("expected ':' at byte {pos}", pos = *pos));
         }
         *pos += 1;
-        let value = parse_value(bytes, pos)?;
-        pairs.push((key, value));
+        if rows_key == Some(key.as_str()) {
+            // `get` finds the first member of a name, so later duplicates
+            // stay in the tree.
+            rows_key = None;
+            let start = *pos;
+            skip_ws(bytes, pos);
+            rows = parse_rows(text, pos);
+            if rows.is_none() {
+                *pos = start;
+                pairs.push((key, parse_value(text, pos)?));
+            }
+        } else {
+            let value = parse_value(text, pos)?;
+            pairs.push((key, value));
+        }
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
             Some(b'}') => {
                 *pos += 1;
-                return Ok(Json::Obj(pairs));
+                return Ok((Json::Obj(pairs), rows));
             }
             _ => return Err(format!("expected ',' or '}}' at byte {pos}", pos = *pos)),
         }

@@ -807,8 +807,15 @@ impl Request {
     }
 
     /// Parses one request line. Errors are client-facing messages.
+    ///
+    /// `prices` can hold tens of thousands of numbers, so the first
+    /// `prices` member is decoded straight into rows in the same pass
+    /// that reads the line; only the small fields become a [`Json`] tree.
+    /// The result is what [`Json::parse`] plus the field lookups below
+    /// would give.
     pub fn parse(line: &str) -> Result<Request, String> {
-        let v = Json::parse(line).map_err(|e| format!("invalid JSON: {e}"))?;
+        let (v, mut rows) =
+            Json::parse_with_rows(line, "prices").map_err(|e| format!("invalid JSON: {e}"))?;
         let op = v
             .get("op")
             .and_then(Json::as_str)
@@ -820,7 +827,10 @@ impl Request {
                 _ => Err("missing string field \"session\"".into()),
             }
         };
-        let prices = |required: bool| -> Result<Vec<Vec<f64>>, String> {
+        let mut prices = |required: bool| -> Result<Vec<Vec<f64>>, String> {
+            if let Some(rows) = rows.take() {
+                return Ok(rows);
+            }
             match v.get("prices") {
                 Some(p) => p
                     .as_f64_matrix()

@@ -393,21 +393,31 @@ fn read_and_dispatch(
         }
     }
     // Extract complete lines; `scanned` avoids rescanning the same
-    // partial-line prefix on every read.
+    // partial-line prefix on every read. The buffer is moved out while
+    // its lines are handled, so each line is borrowed, not copied.
+    let rbuf = std::mem::take(&mut conn.rbuf);
     let mut start = 0;
-    while let Some(rel) = conn.rbuf[conn.scanned.max(start)..]
+    while let Some(rel) = rbuf[conn.scanned.max(start)..]
         .iter()
         .position(|&b| b == b'\n')
     {
         let end = conn.scanned.max(start) + rel;
-        let line = trim_line(&conn.rbuf[start..end]);
+        let line = trim_line(&rbuf[start..end]);
         if !line.is_empty() {
-            let line = String::from_utf8_lossy(line).into_owned();
-            handle_line(conn, conn_id, &line, state, tx, completions);
+            match std::str::from_utf8(line) {
+                Ok(line) => handle_line(conn, conn_id, line, state, tx, completions),
+                // A line that is not UTF-8 is read with U+FFFD in place
+                // of each bad sequence.
+                Err(_) => {
+                    let line = String::from_utf8_lossy(line);
+                    handle_line(conn, conn_id, &line, state, tx, completions);
+                }
+            }
         }
         start = end + 1;
         conn.scanned = start;
     }
+    conn.rbuf = rbuf;
     if start > 0 {
         conn.rbuf.drain(..start);
     }
@@ -534,7 +544,7 @@ fn handle_line(
                 return;
             }
             let depth = DepthGuard::new(state.queue_depth.clone(), state.queue_gauge.clone());
-            let reply = ReplyHandle::new(completions.clone(), conn_id, seq);
+            let reply = ReplyHandle::new(completions.clone(), conn_id, seq, depth);
             conn.slots.push_back(Slot {
                 seq,
                 op_idx,
@@ -546,7 +556,6 @@ fn handle_line(
                 req: queued,
                 reply,
                 enqueued: Instant::now(),
-                _depth: depth,
             }) {
                 Ok(()) => {}
                 Err(TrySendError::Full(job)) => {
@@ -646,4 +655,40 @@ fn flush_writes(conn: &mut Conn, state: &ServerState) -> ConnFate {
         conn.wbuf.drain(..written);
     }
     ConnFate::Keep
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::AtomicI64;
+
+    /// A job's queue occupancy ends before its reply reaches the reactor.
+    /// The test holds the completion queue, so the reply waits inside
+    /// `Completions::push` while the queue depth is read: the depth a
+    /// `stats` request sent right after the reply would see.
+    #[test]
+    fn queue_depth_is_released_before_the_reply_is_pushed() {
+        let (waker, _wake_rx) = UnixStream::pair().expect("socket pair");
+        let completions = Arc::new(Completions::new(waker));
+        let depth = Arc::new(AtomicI64::new(0));
+        let guard = DepthGuard::new(depth.clone(), Default::default());
+        let reply = ReplyHandle::new(completions.clone(), 7, 0, guard);
+        assert_eq!(depth.load(Ordering::Acquire), 1);
+
+        let held = completions.queue.lock().expect("completion queue");
+        let sender = std::thread::spawn(move || reply.send(Response::ShuttingDown));
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while depth.load(Ordering::Acquire) != 0 {
+            assert!(
+                Instant::now() < deadline,
+                "the job still counts in the queue depth while its reply is pushed"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        drop(held);
+        sender.join().expect("sender thread");
+        let pushed = completions.drain();
+        assert_eq!(pushed.len(), 1);
+        assert_eq!((pushed[0].0, pushed[0].1), (7, 0));
+    }
 }

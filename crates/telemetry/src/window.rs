@@ -81,12 +81,13 @@ impl ManualClock {
     }
 }
 
-/// One epoch's worth of histogram state.
+/// One epoch's worth of histogram state. There is no separate count:
+/// a snapshot counts its buckets, so the two can never disagree, however
+/// a read interleaves with a writer's adds.
 struct Slot {
     /// Epoch index this slot currently holds, or [`RESETTING`].
     tag: AtomicU64,
     buckets: Vec<AtomicU64>,
-    count: AtomicU64,
     sum_bits: AtomicU64,
 }
 
@@ -95,7 +96,6 @@ impl Slot {
         Slot {
             tag: AtomicU64::new(0),
             buckets: (0..num_buckets).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
             sum_bits: AtomicU64::new(0),
         }
     }
@@ -104,7 +104,6 @@ impl Slot {
         for b in &self.buckets {
             b.store(0, Ordering::Relaxed);
         }
-        self.count.store(0, Ordering::Relaxed);
         self.sum_bits.store(0, Ordering::Relaxed);
     }
 
@@ -180,7 +179,6 @@ pub(crate) struct RollingCore {
     /// Cumulative-since-start totals alongside the ring, so one
     /// instrument serves both "all time" and "right now" queries.
     total_buckets: Vec<AtomicU64>,
-    total_count: AtomicU64,
     total_sum_bits: AtomicU64,
 }
 
@@ -202,7 +200,6 @@ impl RollingCore {
             epoch_micros: epoch_micros.max(1),
             slots: (0..slots).map(|_| Slot::new(num_buckets)).collect(),
             total_buckets: (0..num_buckets).map(|_| AtomicU64::new(0)).collect(),
-            total_count: AtomicU64::new(0),
             total_sum_bits: AtomicU64::new(0),
         }
     }
@@ -217,10 +214,8 @@ impl RollingCore {
         let slot = &self.slots[(epoch % self.slots.len() as u64) as usize];
         slot.rotate_to(epoch);
         slot.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        slot.count.fetch_add(1, Ordering::Relaxed);
         cas_add_f64(&slot.sum_bits, v);
         self.total_buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.total_count.fetch_add(1, Ordering::Relaxed);
         cas_add_f64(&self.total_sum_bits, v);
     }
 
@@ -233,7 +228,6 @@ impl RollingCore {
         let span = ((secs.max(1)).saturating_mul(1_000_000) / self.epoch_micros)
             .clamp(1, self.slots.len() as u64);
         let mut buckets = vec![0u64; self.bounds.len() + 1];
-        let mut count = 0u64;
         let mut sum = 0.0f64;
         for slot in &self.slots {
             let tag = slot.tag.load(Ordering::Acquire);
@@ -246,7 +240,6 @@ impl RollingCore {
             for (acc, b) in buckets.iter_mut().zip(&slot.buckets) {
                 *acc += b.load(Ordering::Relaxed);
             }
-            count += slot.count.load(Ordering::Relaxed);
             sum += f64::from_bits(slot.sum_bits.load(Ordering::Relaxed));
         }
         // The effective window never exceeds the process uptime, so early
@@ -255,7 +248,7 @@ impl RollingCore {
         let window_s = (secs as f64).min(elapsed_s.max(self.epoch_micros as f64 / 1e6));
         WindowSnapshot {
             window_s,
-            count,
+            count: buckets.iter().sum(),
             sum,
             bounds: self.bounds.clone(),
             buckets,
@@ -264,17 +257,25 @@ impl RollingCore {
 
     fn cumulative(&self) -> WindowSnapshot {
         let elapsed_s = (self.clock.micros() as f64 / 1e6).max(self.epoch_micros as f64 / 1e6);
+        let buckets: Vec<u64> = self
+            .total_buckets
+            .iter()
+            .map(|b| b.load(Ordering::Relaxed))
+            .collect();
         WindowSnapshot {
             window_s: elapsed_s,
-            count: self.total_count.load(Ordering::Relaxed),
+            count: buckets.iter().sum(),
             sum: f64::from_bits(self.total_sum_bits.load(Ordering::Relaxed)),
             bounds: self.bounds.clone(),
-            buckets: self
-                .total_buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
+            buckets,
         }
+    }
+
+    fn total_count(&self) -> u64 {
+        self.total_buckets
+            .iter()
+            .map(|b| b.load(Ordering::Relaxed))
+            .sum()
     }
 }
 
@@ -416,9 +417,7 @@ impl RollingHistogram {
 
     /// Total observations since start (0 when disabled).
     pub fn count(&self) -> u64 {
-        self.0
-            .as_ref()
-            .map_or(0, |c| c.total_count.load(Ordering::Relaxed))
+        self.0.as_ref().map_or(0, |c| c.total_count())
     }
 }
 
@@ -641,6 +640,28 @@ mod tests {
         clock.advance(Duration::from_secs(5));
         assert_eq!(c.window_count(5), 0);
         assert_eq!(c.rate(5), 0.0);
+    }
+
+    /// A reader can land between a writer's bucket add and its sum add.
+    /// Bumping a bucket alone freezes a writer there: each snapshot's
+    /// count must still equal its bucket sum.
+    #[test]
+    fn snapshot_between_a_writers_adds_counts_its_buckets() {
+        let clock = ManualClock::new();
+        let h = RollingHistogram::with_clock(&[1.0, 10.0], 4, &clock);
+        h.record(0.5);
+        clock.advance(Duration::from_secs(1));
+        h.record(5.0);
+        let core = h.0.as_ref().expect("enabled");
+        let epoch = core.current_epoch();
+        let slot = &core.slots[(epoch % core.slots.len() as u64) as usize];
+        slot.buckets[2].fetch_add(1, Ordering::Relaxed);
+        core.total_buckets[2].fetch_add(1, Ordering::Relaxed);
+        for snap in [h.window(10), h.cumulative()] {
+            assert_eq!(snap.count, 3);
+            assert_eq!(snap.count, snap.buckets.iter().sum::<u64>());
+        }
+        assert_eq!(h.count(), 3);
     }
 
     #[test]
