@@ -26,16 +26,27 @@ const FEATURES: [Feature; NUM_FEATURES] =
 /// The raw normalised window as a `[m, d, z]` tensor (the cross-insight
 /// policy's price input).
 pub fn raw_window(panel: &AssetPanel, t: usize, z: usize) -> Tensor {
-    let m = panel.num_assets();
-    let flat = panel.normalized_window(t, z);
-    let data: Vec<f32> = flat.into_iter().map(|v| v as f32).collect();
-    Tensor::from_vec(&[m, NUM_FEATURES, z], data)
+    let mut out = Tensor::zeros(&[panel.num_assets(), NUM_FEATURES, z]);
+    write_raw_window(panel, t, z, out.data_mut());
+    out
 }
 
-/// Raw (unnormalised) prices of one asset/feature series over the window
-/// ending at day `t`.
-fn raw_series(panel: &AssetPanel, t: usize, z: usize, i: usize, f: Feature) -> Vec<f64> {
-    (0..z).map(|s| panel.price(t + 1 - z + s, i, f)).collect()
+/// Writes [`AssetPanel::normalized_window`] of day `t`, narrowed to
+/// `f32`, into `dst` (`[m, d, z]`).
+fn write_raw_window(panel: &AssetPanel, t: usize, z: usize, dst: &mut [f32]) {
+    let mut dst = dst.iter_mut();
+    panel.for_each_normalized(t, z, |v| {
+        *dst.next().expect("dst holds [m, d, z]") = v as f32;
+    });
+}
+
+/// Gathers the raw (unnormalised) prices of one asset/feature series over
+/// the window ending at day `t` into `dst` (`z` samples).
+fn read_series(panel: &AssetPanel, t: usize, i: usize, f: Feature, dst: &mut [f64]) {
+    let first = t + 1 - dst.len();
+    for (s, v) in dst.iter_mut().enumerate() {
+        *v = panel.price(first + s, i, f);
+    }
 }
 
 /// Writes the normalised bands of one asset/feature series into the output
@@ -69,10 +80,11 @@ pub fn horizon_windows(panel: &AssetPanel, t: usize, z: usize, n: usize) -> Vec<
     assert!(n >= 1, "need at least one horizon");
     let m = panel.num_assets();
     let mut out = vec![Tensor::zeros(&[m, NUM_FEATURES, z]); n];
+    let mut series = vec![0.0; z];
     for i in 0..m {
         let anchor = panel.close(t, i);
         for (fi, &f) in FEATURES.iter().enumerate() {
-            let series = raw_series(panel, t, z, i, f);
+            read_series(panel, t, i, f, &mut series);
             let scales = horizon_scales(&series, n);
             write_bands(&mut out, i, fi, z, anchor, &scales);
         }
@@ -86,6 +98,11 @@ pub fn horizon_windows(panel: &AssetPanel, t: usize, z: usize, n: usize) -> Vec<
 /// requests reuse the shifted coefficient streams instead of recomputing
 /// the full `O(m · d · z · n)` decomposition. Outputs are bitwise
 /// identical to the uncached function for every request pattern.
+///
+/// The cache also owns its output: the `n` horizon windows and the raw
+/// window are written into tensors allocated once, with the series
+/// gathered through one scratch buffer, so a warm call allocates nothing
+/// but the copies [`HorizonWindowCache::windows`] hands out.
 ///
 /// ```
 /// use cit_core::{horizon_windows, HorizonWindowCache};
@@ -106,8 +123,13 @@ pub fn horizon_windows(panel: &AssetPanel, t: usize, z: usize, n: usize) -> Vec<
 /// ```
 pub struct HorizonWindowCache {
     z: usize,
-    n: usize,
     caches: Vec<SlidingDwt>,
+    /// One series' raw prices, gathered from the panel (`z` samples).
+    series: Vec<f64>,
+    /// The horizon windows of the last fill, one `[m, d, z]` per band.
+    bands: Vec<Tensor>,
+    /// The raw normalised window of the last fill, `[m, d, z]`.
+    raw: Tensor,
 }
 
 impl HorizonWindowCache {
@@ -115,34 +137,51 @@ impl HorizonWindowCache {
     /// horizon bands.
     pub fn new(num_assets: usize, z: usize, n: usize) -> Self {
         assert!(n >= 1, "need at least one horizon");
+        let shape = [num_assets, NUM_FEATURES, z];
         HorizonWindowCache {
             z,
-            n,
             caches: (0..num_assets * NUM_FEATURES)
                 .map(|_| SlidingDwt::new(z, n))
                 .collect(),
+            series: vec![0.0; z],
+            bands: vec![Tensor::zeros(&shape); n],
+            raw: Tensor::zeros(&shape),
         }
     }
 
-    /// Equivalent of `horizon_windows(panel, t, self.z, self.n)`.
+    /// Equivalent of `horizon_windows(panel, t, z, n)` for the cache's
+    /// `z` and `n`.
     pub fn windows(&mut self, panel: &AssetPanel, t: usize) -> Vec<Tensor> {
+        self.fill_bands(panel, t);
+        self.bands.clone()
+    }
+
+    /// The model inputs of day `t`, written into the cache's own buffers:
+    /// the horizon windows (as [`HorizonWindowCache::windows`]) and the
+    /// raw window (as [`raw_window`]).
+    pub(crate) fn inputs(&mut self, panel: &AssetPanel, t: usize) -> (&[Tensor], &Tensor) {
+        self.fill_bands(panel, t);
+        write_raw_window(panel, t, self.z, self.raw.data_mut());
+        (&self.bands, &self.raw)
+    }
+
+    /// Writes the horizon windows of day `t` into `self.bands`. Every
+    /// element is overwritten, so nothing from an earlier day survives.
+    fn fill_bands(&mut self, panel: &AssetPanel, t: usize) {
         let m = panel.num_assets();
         assert_eq!(
             m * NUM_FEATURES,
             self.caches.len(),
             "HorizonWindowCache: panel asset count changed"
         );
-        let (z, n) = (self.z, self.n);
-        let mut out = vec![Tensor::zeros(&[m, NUM_FEATURES, z]); n];
         for i in 0..m {
             let anchor = panel.close(t, i);
             for (fi, &f) in FEATURES.iter().enumerate() {
-                let series = raw_series(panel, t, z, i, f);
-                let scales = self.caches[i * NUM_FEATURES + fi].scales_at(t, &series);
-                write_bands(&mut out, i, fi, z, anchor, scales);
+                read_series(panel, t, i, f, &mut self.series);
+                let scales = self.caches[i * NUM_FEATURES + fi].scales_at(t, &self.series);
+                write_bands(&mut self.bands, i, fi, self.z, anchor, scales);
             }
         }
-        out
     }
 
     /// Aggregated hit/miss counters across every per-series cache.

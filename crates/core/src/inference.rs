@@ -18,7 +18,7 @@
 
 use crate::actor::{one_hot, CitActor};
 use crate::config::CitConfig;
-use crate::decomposition::{raw_window, HorizonWindowCache};
+use crate::decomposition::HorizonWindowCache;
 use crate::error::CitError;
 #[cfg(doc)]
 use crate::trainer::CrossInsightTrader;
@@ -166,10 +166,9 @@ impl DecisionModel {
             panel.num_assets(),
             self.num_assets
         );
-        let (n, z) = (self.cfg.num_policies, self.cfg.window);
+        let n = self.cfg.num_policies;
         assert_eq!(prev_actions.len(), n, "need one previous action per policy");
-        let windows = cache.windows(panel, t);
-        let raw = raw_window(panel, t, z);
+        let (windows, raw) = cache.inputs(panel, t);
         let mut pre_actions = Vec::with_capacity(n);
         for (k, window) in windows.iter().enumerate() {
             let mut extra = one_hot(k, n);
@@ -184,7 +183,7 @@ impl DecisionModel {
             .collect();
         let cross_mean =
             self.cross_actor
-                .mean_numeric_in(&self.store, &self.pool, &raw, &cross_extra);
+                .mean_numeric_in(&self.store, &self.pool, raw, &cross_extra);
         let final_action = temperature_action(&cross_mean, self.cfg.action_temperature);
         InferenceOutput {
             pre_actions,

@@ -10,23 +10,28 @@ const SQRT2: f64 = std::f64::consts::SQRT_2;
 
 /// One analysis step: returns `(approximation, detail)` coefficients.
 pub fn haar_step(x: &[f64]) -> (Vec<f64>, Vec<f64>) {
-    let mut padded;
-    let x = if x.len() % 2 == 1 {
-        padded = Vec::with_capacity(x.len() + 1);
-        padded.extend_from_slice(x);
-        padded.push(*x.last().expect("non-empty signal"));
-        &padded[..]
-    } else {
-        x
-    };
-    let half = x.len() / 2;
-    let mut a = Vec::with_capacity(half);
-    let mut d = Vec::with_capacity(half);
-    for i in 0..half {
-        a.push((x[2 * i] + x[2 * i + 1]) / SQRT2);
-        d.push((x[2 * i] - x[2 * i + 1]) / SQRT2);
-    }
+    let mut a = x.to_vec();
+    let mut d = vec![0.0; x.len().div_ceil(2)];
+    haar_step_in_place(&mut a, &mut d);
+    a.truncate(d.len());
     (a, d)
+}
+
+/// One analysis step in place: the first `x.len().div_ceil(2)` entries
+/// of `x` become the approximation and `d` (of that length) receives the
+/// detail coefficients. Same operations as [`haar_step`], including the
+/// repeated final sample of an odd-length signal.
+pub(crate) fn haar_step_in_place(x: &mut [f64], d: &mut [f64]) {
+    let len = x.len();
+    debug_assert_eq!(d.len(), len.div_ceil(2));
+    for (i, di) in d.iter_mut().enumerate() {
+        // Position i is written only after positions 2i and 2i+1 (both
+        // at or past i) are read, and later steps read past 2i+1.
+        let x0 = x[2 * i];
+        let x1 = if 2 * i + 1 < len { x[2 * i + 1] } else { x0 };
+        x[i] = (x0 + x1) / SQRT2;
+        *di = (x0 - x1) / SQRT2;
+    }
 }
 
 /// One synthesis step: rebuilds the signal of length `out_len` from
@@ -45,13 +50,31 @@ pub fn haar_inverse_step(a: &[f64], d: &[f64], out_len: usize) -> Vec<f64> {
         out_len <= 2 * a.len(),
         "haar_inverse_step: out_len too large"
     );
-    let mut x = Vec::with_capacity(2 * a.len());
-    for i in 0..a.len() {
-        x.push((a[i] + d[i]) / SQRT2);
-        x.push((a[i] - d[i]) / SQRT2);
-    }
+    let mut x = vec![0.0; 2 * a.len()];
+    x[..a.len()].copy_from_slice(a);
+    haar_inverse_in_place(&mut x, a.len(), Some(d));
     x.truncate(out_len);
     x
+}
+
+/// One synthesis step in place: `x[..half]` holds the approximation and
+/// is overwritten by the first `x.len()` (at most `2·half`) samples of
+/// the rebuilt signal. `d: None` stands for all-zero details and runs
+/// the same operations on a literal `0.0`, so a masked band rebuilds
+/// bitwise like [`haar_inverse_step`] over a zeroed detail vector.
+pub(crate) fn haar_inverse_in_place(x: &mut [f64], half: usize, d: Option<&[f64]>) {
+    let out_len = x.len();
+    debug_assert!(out_len + 1 >= 2 * half && out_len <= 2 * half);
+    // Backwards: step i writes positions 2i and 2i+1, never below i, so
+    // each a[j] with j < i is still intact when step j reads it.
+    for i in (0..half).rev() {
+        let a = x[i];
+        let di = d.map_or(0.0, |d| d[i]);
+        if 2 * i + 1 < out_len {
+            x[2 * i + 1] = (a - di) / SQRT2;
+        }
+        x[2 * i] = (a + di) / SQRT2;
+    }
 }
 
 /// A multi-level Haar decomposition.

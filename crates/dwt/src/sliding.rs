@@ -18,9 +18,15 @@
 //! ones whose results are already known. Windows whose length is not a
 //! multiple of `2^levels` (odd-padding would break pair alignment) fall
 //! back to a full per-call computation and are never cached incrementally.
+//!
+//! Both paths run in place: a slot's coefficient streams and bands are
+//! allocated once, when the slot is first filled, and every later request
+//! (full or incremental) overwrites them through one scratch buffer of
+//! `z` samples shared by all slots.
+//!
+//! [`horizon_scales`]: crate::horizon_scales
 
-use crate::haar::{decompose, haar_inverse_step, haar_step, reconstruct, WaveletPyramid};
-use crate::horizon::horizon_scales;
+use crate::haar::{haar_inverse_in_place, haar_step_in_place};
 
 /// Hit/miss counters of a [`SlidingDwt`].
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -33,11 +39,30 @@ pub struct DwtCacheStats {
     pub full: u64,
 }
 
+/// One cached window: its samples, its wavelet pyramid and its bands.
 struct Slot {
     end: usize,
     window: Vec<f64>,
-    pyramid: Option<WaveletPyramid>,
+    /// Detail coefficients per level, finest first.
+    details: Vec<Vec<f64>>,
+    /// Coarsest approximation coefficients.
+    approx: Vec<f64>,
     scales: Vec<Vec<f64>>,
+}
+
+impl Slot {
+    /// A zeroed slot for windows of `z` samples whose analysis levels
+    /// take `lengths` samples each.
+    fn new(z: usize, n_scales: usize, lengths: &[usize]) -> Slot {
+        let half = |len: &usize| len.div_ceil(2);
+        Slot {
+            end: 0,
+            window: vec![0.0; z],
+            details: lengths.iter().map(|l| vec![0.0; half(l)]).collect(),
+            approx: vec![0.0; lengths.last().map_or(0, half)],
+            scales: vec![vec![0.0; z]; n_scales],
+        }
+    }
 }
 
 /// A sliding-window cache around [`horizon_scales`].
@@ -61,15 +86,21 @@ struct Slot {
 /// let stats = cache.stats();
 /// assert!(stats.incremental > stats.full, "{stats:?}");
 /// ```
+///
+/// [`horizon_scales`]: crate::horizon_scales
 pub struct SlidingDwt {
     z: usize,
     n_scales: usize,
-    levels: usize,
     /// Slide distance that preserves Haar pair alignment (`2^levels`).
     period: usize,
     /// Whether `z` admits the incremental path at all.
     aligned: bool,
+    /// Samples entering each of the `n_scales − 1` analysis levels
+    /// (`lengths[0] = z`).
+    lengths: Vec<usize>,
     slots: Vec<Option<Slot>>,
+    /// Analysis scratch of `z` samples.
+    work: Vec<f64>,
     stats: DwtCacheStats,
 }
 
@@ -79,19 +110,25 @@ impl SlidingDwt {
     ///
     /// # Panics
     /// Panics if `z == 0` or `n_scales == 0`.
+    ///
+    /// [`horizon_scales`]: crate::horizon_scales
     pub fn new(z: usize, n_scales: usize) -> Self {
         assert!(z >= 1, "SlidingDwt: window length must be positive");
         assert!(n_scales >= 1, "SlidingDwt: need at least one scale");
         let levels = n_scales - 1;
         let period = 1usize << levels;
         let aligned = z.is_multiple_of(period);
+        let lengths = std::iter::successors(Some(z), |len| Some(len.div_ceil(2)))
+            .take(levels)
+            .collect();
         SlidingDwt {
             z,
             n_scales,
-            levels,
             period,
             aligned,
+            lengths,
             slots: (0..period).map(|_| None).collect(),
+            work: vec![0.0; z],
             stats: DwtCacheStats::default(),
         }
     }
@@ -110,7 +147,8 @@ impl SlidingDwt {
     /// `end`. Semantically identical to `horizon_scales(window, n_scales)`.
     ///
     /// # Panics
-    /// Panics if `window.len() != z`.
+    /// Panics if `window.len() != z`, or if `z` is too short for
+    /// `n_scales − 1` analysis levels (as [`crate::decompose`] does).
     pub fn scales_at(&mut self, end: usize, window: &[f64]) -> &[Vec<f64>] {
         assert_eq!(window.len(), self.z, "SlidingDwt: window length mismatch");
         let idx = end % self.period;
@@ -118,7 +156,7 @@ impl SlidingDwt {
             Some(s) if s.end == end && s.window == window => Reuse::Memo,
             Some(s)
                 if self.aligned
-                    && self.levels >= 1
+                    && !self.lengths.is_empty()
                     && s.end + self.period == end
                     && s.window[self.period..] == window[..self.z - self.period] =>
             {
@@ -126,45 +164,28 @@ impl SlidingDwt {
             }
             _ => Reuse::None,
         };
+        let (z, n_scales) = (self.z, self.n_scales);
+        let SlidingDwt {
+            lengths,
+            slots,
+            work,
+            stats,
+            ..
+        } = self;
         match reuse {
-            Reuse::Memo => self.stats.memo_hits += 1,
+            Reuse::Memo => stats.memo_hits += 1,
             Reuse::Incremental => {
-                self.stats.incremental += 1;
-                let slot = self.slots[idx].as_mut().expect("slot checked above");
-                slide_slot(slot, end, window, self.levels, self.period, self.n_scales);
+                stats.incremental += 1;
+                let slot = slots[idx].as_mut().expect("slot checked above");
+                slide_slot(slot, end, window, work, lengths.len(), n_scales);
             }
             Reuse::None => {
-                self.stats.full += 1;
-                self.slots[idx] = Some(self.full_slot(end, window));
+                stats.full += 1;
+                let slot = slots[idx].get_or_insert_with(|| Slot::new(z, n_scales, lengths));
+                fill_slot(slot, end, window, work, lengths, n_scales);
             }
         }
-        &self.slots[idx].as_ref().expect("slot filled above").scales
-    }
-
-    fn full_slot(&self, end: usize, window: &[f64]) -> Slot {
-        if self.levels == 0 {
-            return Slot {
-                end,
-                window: window.to_vec(),
-                pyramid: None,
-                scales: horizon_scales(window, 1),
-            };
-        }
-        let pyramid = decompose(window, self.levels);
-        // Same masked reconstructions as `horizon_scales`, sharing the one
-        // decomposition.
-        let mut scales = Vec::with_capacity(self.n_scales);
-        scales.push(reconstruct(&pyramid.masked(true, &[])));
-        for k in 1..self.n_scales {
-            let detail_level = self.n_scales - 1 - k;
-            scales.push(reconstruct(&pyramid.masked(false, &[detail_level])));
-        }
-        Slot {
-            end,
-            window: window.to_vec(),
-            pyramid: Some(pyramid),
-            scales,
-        }
+        &slots[idx].as_ref().expect("slot filled above").scales
     }
 }
 
@@ -174,84 +195,111 @@ enum Reuse {
     None,
 }
 
-/// Advances `slot` by one period: shifts every coefficient stream and band
-/// left by its per-level stride and fills the vacated tails from the
-/// `period` new samples at the end of `window`.
+/// Which pyramid bands horizon band `k` keeps: the approximation for
+/// `k = 0`, else detail level `n_scales − 1 − k` (the last band is the
+/// finest detail).
+fn band_mask(k: usize, n_scales: usize) -> (bool, Option<usize>) {
+    (k == 0, (k >= 1).then(|| n_scales - 1 - k))
+}
+
+/// Recomputes `slot` from `window` with the operations of
+/// [`crate::horizon_scales`]: a [`crate::decompose`] of `lengths.len()`
+/// levels, then one [`crate::reconstruct`] per band with every other
+/// band zeroed.
+fn fill_slot(
+    slot: &mut Slot,
+    end: usize,
+    window: &[f64],
+    work: &mut [f64],
+    lengths: &[usize],
+    n_scales: usize,
+) {
+    slot.end = end;
+    slot.window.copy_from_slice(window);
+    let levels = lengths.len();
+    if levels == 0 {
+        slot.scales[0].copy_from_slice(window);
+        return;
+    }
+    work.copy_from_slice(window);
+    for (l, &len) in lengths.iter().enumerate() {
+        assert!(len >= 2, "decompose: signal too short for {levels} levels");
+        haar_step_in_place(&mut work[..len], &mut slot.details[l]);
+    }
+    let top = slot.approx.len();
+    slot.approx.copy_from_slice(&work[..top]);
+    for (k, band) in slot.scales.iter_mut().enumerate() {
+        let (keep_approx, detail_level) = band_mask(k, n_scales);
+        if keep_approx {
+            band[..top].copy_from_slice(&slot.approx);
+        } else {
+            band[..top].fill(0.0);
+        }
+        for l in (0..levels).rev() {
+            let d = (detail_level == Some(l)).then_some(&slot.details[l][..]);
+            haar_inverse_in_place(&mut band[..lengths[l]], slot.details[l].len(), d);
+        }
+    }
+}
+
+/// Advances `slot` by one period (`2^levels` samples): shifts every
+/// coefficient stream and band left by its per-level stride and fills the
+/// vacated tails from the new samples at the end of `window`.
 fn slide_slot(
     slot: &mut Slot,
     end: usize,
     window: &[f64],
+    work: &mut [f64],
     levels: usize,
-    period: usize,
     n_scales: usize,
 ) {
     let z = window.len();
-    let pyramid = slot
-        .pyramid
-        .as_mut()
-        .expect("aligned slots carry a pyramid");
+    let period = 1usize << levels;
     // Cascade the new input tail down the analysis levels. The new approx
     // coefficients of level l are exactly the input tail level l+1 needs.
-    let mut tail: Vec<f64> = window[z - period..].to_vec();
-    for l in 0..levels {
-        let (a_new, d_new) = haar_step(&tail);
-        shift_append(&mut pyramid.details[l], &d_new);
-        tail = a_new;
+    work[..period].copy_from_slice(&window[z - period..]);
+    let mut len = period;
+    for stream in &mut slot.details {
+        let half = len / 2;
+        stream.copy_within(half.., 0);
+        let n = stream.len();
+        haar_step_in_place(&mut work[..len], &mut stream[n - half..]);
+        len = half;
     }
-    shift_append(&mut pyramid.approx, &tail);
+    let top = slot.approx.len();
+    slot.approx.copy_within(len.., 0);
+    slot.approx[top - len..].copy_from_slice(&work[..len]);
     // Each band reconstruction shifts by `period` samples; only the last
-    // `period` outputs touch new coefficients.
+    // `period` outputs touch new coefficients, and they are rebuilt in
+    // place from the last `period >> levels` coefficients.
     for (k, band) in slot.scales.iter_mut().enumerate() {
         band.copy_within(period.., 0);
-        let keep_approx = k == 0;
-        let detail_level = (k >= 1).then(|| n_scales - 1 - k);
-        let fresh = band_tail(pyramid, keep_approx, detail_level, levels, period);
-        band[z - period..].copy_from_slice(&fresh);
+        let (keep_approx, detail_level) = band_mask(k, n_scales);
+        let tail = &mut band[z - period..];
+        if keep_approx {
+            tail[..len].copy_from_slice(&slot.approx[top - len..]);
+        } else {
+            tail[..len].fill(0.0);
+        }
+        let mut dn = len;
+        for l in (0..levels).rev() {
+            let d = (detail_level == Some(l)).then(|| {
+                let stream = &slot.details[l];
+                &stream[stream.len() - dn..]
+            });
+            haar_inverse_in_place(&mut tail[..2 * dn], dn, d);
+            dn *= 2;
+        }
     }
     slot.end = end;
     slot.window.copy_within(period.., 0);
     slot.window[z - period..].copy_from_slice(&window[z - period..]);
 }
 
-/// Rotates `stream` left by `fresh.len()` and writes `fresh` at the end.
-fn shift_append(stream: &mut [f64], fresh: &[f64]) {
-    let s = fresh.len();
-    stream.copy_within(s.., 0);
-    let n = stream.len();
-    stream[n - s..].copy_from_slice(fresh);
-}
-
-/// Reconstructs the last `tail_len` output samples of a masked pyramid
-/// (`tail_len` must be `2^levels`-aligned, which the caller guarantees).
-fn band_tail(
-    p: &WaveletPyramid,
-    keep_approx: bool,
-    detail_level: Option<usize>,
-    levels: usize,
-    tail_len: usize,
-) -> Vec<f64> {
-    let need = tail_len >> levels;
-    let mut cur: Vec<f64> = if keep_approx {
-        p.approx[p.approx.len() - need..].to_vec()
-    } else {
-        vec![0.0; need]
-    };
-    for l in (0..levels).rev() {
-        let dn = cur.len();
-        let d: Vec<f64> = if detail_level == Some(l) {
-            let stream = &p.details[l];
-            stream[stream.len() - dn..].to_vec()
-        } else {
-            vec![0.0; dn]
-        };
-        cur = haar_inverse_step(&cur, &d, 2 * dn);
-    }
-    cur
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::horizon_scales;
 
     fn series(n: usize) -> Vec<f64> {
         (0..n)
@@ -284,6 +332,40 @@ mod tests {
             let period = 1usize << (n - 1);
             assert_eq!(stats.full as usize, period, "one cold fill per ring slot");
             assert_eq!(stats.incremental as usize, 40 - period);
+        }
+    }
+
+    /// The in-place paths match the allocating reference bit for bit, not
+    /// just by value: plateaus make exact-zero details (where a signed
+    /// zero would show), and odd window lengths exercise the padding.
+    #[test]
+    fn in_place_paths_match_the_reference_bit_for_bit() {
+        let x: Vec<f64> = (0..120)
+            .map(|i| {
+                if (i / 8) % 3 == 0 {
+                    5.0
+                } else {
+                    100.0 - (i as f64 * 0.7).sin()
+                }
+            })
+            .collect();
+        let bits = |bands: &[Vec<f64>]| -> Vec<Vec<u64>> {
+            bands
+                .iter()
+                .map(|b| b.iter().map(|v| v.to_bits()).collect())
+                .collect()
+        };
+        for (z, n) in [(32, 5), (16, 3), (13, 3), (21, 4), (8, 1)] {
+            let mut cache = SlidingDwt::new(z, n);
+            for end in (z - 1)..x.len() {
+                let window = &x[end + 1 - z..=end];
+                let cached = bits(cache.scales_at(end, window));
+                assert_eq!(
+                    cached,
+                    bits(&horizon_scales(window, n)),
+                    "z={z} n={n} end={end}"
+                );
+            }
         }
     }
 

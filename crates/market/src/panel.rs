@@ -114,15 +114,95 @@ impl AssetPanel {
         if test_start >= num_days {
             return Err(PanelError::BadSplit("test_start out of range".into()));
         }
-        let asset_names = (0..num_assets).map(|i| format!("A{i:03}")).collect();
         Ok(AssetPanel {
             name: name.into(),
             num_days,
             num_assets,
             data,
             test_start,
-            asset_names,
+            asset_names: default_asset_names(num_assets),
         })
+    }
+
+    /// Builds a panel from day rows, each holding `m·d` values (one OHLC
+    /// block per asset), validated once each as by
+    /// [`AssetPanel::try_push_days`]. The test period starts at day 0.
+    pub fn try_from_days<R: AsRef<[f64]>>(
+        name: impl Into<String>,
+        num_assets: usize,
+        days: &[R],
+    ) -> Result<Self, PanelError> {
+        if num_assets < 1 {
+            return Err(PanelError::Empty("panel needs at least one asset".into()));
+        }
+        let mut panel = AssetPanel {
+            name: name.into(),
+            num_days: 0,
+            num_assets,
+            data: Vec::new(),
+            test_start: 0,
+            asset_names: default_asset_names(num_assets),
+        };
+        panel.try_push_days(days)?;
+        if panel.num_days < 2 {
+            return Err(PanelError::Empty("panel needs at least two days".into()));
+        }
+        Ok(panel)
+    }
+
+    /// Appends day rows after the last day. Each row must hold `m·d`
+    /// values, every one positive and finite. Only the new rows are
+    /// checked, each once, as it is copied in. The append is atomic: at
+    /// the first bad row the panel is left as it was, and the error names
+    /// that row by its index in `days`.
+    pub fn try_push_days<R: AsRef<[f64]>>(&mut self, days: &[R]) -> Result<(), PanelError> {
+        let width = self.num_assets * NUM_FEATURES;
+        let old_len = self.data.len();
+        for (i, day) in days.iter().enumerate() {
+            let day = day.as_ref();
+            let bad = if day.len() != width {
+                Some(PanelError::SizeMismatch(format!(
+                    "day {i}: expected {width} values ({} assets × {NUM_FEATURES} OHLC), got {}",
+                    self.num_assets,
+                    day.len()
+                )))
+            } else {
+                day.iter()
+                    .find(|p| !(p.is_finite() && **p > 0.0))
+                    .map(|bad| {
+                        PanelError::DirtyPrice(format!(
+                            "day {i}: prices must be positive and finite, got {bad}"
+                        ))
+                    })
+            };
+            if let Some(e) = bad {
+                self.data.truncate(old_len);
+                return Err(e);
+            }
+            self.data.extend_from_slice(day);
+        }
+        self.num_days += days.len();
+        Ok(())
+    }
+
+    /// Removes the `n` oldest days. Day indices shift down by `n`; the
+    /// test split moves with its day (clamped at day 0).
+    ///
+    /// # Panics
+    /// Panics if fewer than two days would remain.
+    pub fn drop_front_days(&mut self, n: usize) {
+        assert!(
+            n + 2 <= self.num_days,
+            "drop_front_days: a panel keeps at least two days"
+        );
+        self.data.drain(..n * self.num_assets * NUM_FEATURES);
+        self.num_days -= n;
+        self.test_start = self.test_start.saturating_sub(n);
+    }
+
+    /// The row-major `[T, m, d]` price buffer.
+    pub fn as_slice(&self) -> &[f64] {
+        &self.data
     }
 
     /// Dataset label (e.g. "US", "HK", "CN").
@@ -203,23 +283,32 @@ impl AssetPanel {
     /// # Panics
     /// Panics when fewer than `z` days of history exist at `t`.
     pub fn normalized_window(&self, t: usize, z: usize) -> Vec<f64> {
+        let mut out = Vec::with_capacity(self.num_assets * NUM_FEATURES * z);
+        self.for_each_normalized(t, z, |v| out.push(v));
+        out
+    }
+
+    /// Calls `visit` with each value of
+    /// [`AssetPanel::normalized_window`], in its `[m, d, z]` order,
+    /// without building the vector.
+    ///
+    /// # Panics
+    /// Panics when fewer than `z` days of history exist at `t`.
+    pub fn for_each_normalized(&self, t: usize, z: usize, mut visit: impl FnMut(f64)) {
         assert!(
             t + 1 >= z,
             "normalized_window: need {z} days of history at t={t}"
         );
         assert!(t < self.num_days, "normalized_window: t out of range");
-        let m = self.num_assets;
-        let mut out = Vec::with_capacity(m * NUM_FEATURES * z);
-        for i in 0..m {
+        for i in 0..self.num_assets {
             let anchor = self.close(t, i);
             for f in [Feature::Open, Feature::High, Feature::Low, Feature::Close] {
                 for s in 0..z {
                     let day = t + 1 - z + s;
-                    out.push(self.price(day, i, f) / anchor - 1.0);
+                    visit(self.price(day, i, f) / anchor - 1.0);
                 }
             }
         }
-        out
     }
 
     /// The closing-price series of asset `i` over `[t+1−z, t]`.
@@ -242,6 +331,11 @@ impl AssetPanel {
             })
             .collect()
     }
+}
+
+/// Placeholder asset names `A000, A001, …`.
+fn default_asset_names(num_assets: usize) -> Vec<String> {
+    (0..num_assets).map(|i| format!("A{i:03}")).collect()
 }
 
 #[cfg(test)]
@@ -306,6 +400,51 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn rejects_nonpositive_prices() {
         let _ = AssetPanel::new("bad", 2, 1, vec![1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0, 1.0], 1);
+    }
+
+    fn day_rows(p: &AssetPanel) -> Vec<Vec<f64>> {
+        let width = p.num_assets() * NUM_FEATURES;
+        p.as_slice().chunks(width).map(<[f64]>::to_vec).collect()
+    }
+
+    #[test]
+    fn panels_grow_and_shrink_in_place() {
+        let p = tiny_panel();
+        let rows = day_rows(&p);
+        let mut grown = AssetPanel::try_from_days("tiny", 2, &rows[..2]).unwrap();
+        grown.try_push_days(&rows[2..]).unwrap();
+        assert_eq!(grown.num_days(), 3);
+        assert_eq!(grown.as_slice(), p.as_slice());
+        grown.drop_front_days(1);
+        assert_eq!(grown.num_days(), 2);
+        assert_eq!(grown.test_start(), 0);
+        assert_eq!(grown.close(0, 0), 11.0);
+        assert_eq!(grown.as_slice(), &p.as_slice()[8..]);
+    }
+
+    #[test]
+    fn a_bad_row_leaves_the_panel_untouched() {
+        let p = tiny_panel();
+        let mut rows = day_rows(&p);
+        let mut panel = AssetPanel::try_from_days("tiny", 2, &rows[..2]).unwrap();
+        let before = panel.as_slice().to_vec();
+        rows[2][5] = f64::NAN;
+        let err = panel.try_push_days(&rows[1..]).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "day 1: prices must be positive and finite, got NaN"
+        );
+        let err = panel.try_push_days(&[vec![1.0; 3]]).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "day 0: expected 8 values (2 assets × 4 OHLC), got 3"
+        );
+        assert_eq!(panel.num_days(), 2);
+        assert_eq!(panel.as_slice(), &before[..]);
+        assert!(matches!(
+            AssetPanel::try_from_days("one", 2, &rows[..1]),
+            Err(PanelError::Empty(_))
+        ));
     }
 
     #[test]

@@ -11,12 +11,13 @@
 //! newline-delimited JSON protocol over TCP (see [`protocol`] and
 //! `PROTOCOL.md`): a single readiness-polled **reactor** thread owns
 //! every connection and parses requests into a **bounded queue**; a
-//! single batcher drains up to [`ServeConfig::max_batch`] requests
-//! (waiting at most [`ServeConfig::max_wait_us`] after the first) and
-//! fans the batch out over the `cit-compute` thread pool — per-session
-//! order is preserved, distinct sessions run in parallel. A full queue
-//! is answered with a typed `overloaded` reject instead of blocking:
-//! backpressure is part of the protocol. Sessions are pinned to their
+//! single batcher takes whatever is queued, up to
+//! [`ServeConfig::max_batch`] requests, without waiting for more (a lone
+//! request is a batch of one; requests arriving during a batch form the
+//! next) and fans the batch out over the `cit-compute` thread pool —
+//! per-session order is preserved, distinct sessions run in parallel. A
+//! full queue is answered with a typed `overloaded` reject instead of
+//! blocking: backpressure is part of the protocol. Sessions are pinned to their
 //! slot for life (including across disk spill/restore); opening with
 //! `model: "auto"` lets the deterministic [`RegimeRouter`] pick the slot
 //! from the open history's market regime. Per-request latency, batch

@@ -37,11 +37,10 @@ pub struct ServeConfig {
     /// Bind address; port 0 picks an ephemeral port (the default
     /// `127.0.0.1:0`).
     pub addr: String,
-    /// Most requests one batch may hold.
+    /// Most requests one batch may hold. The batcher never waits to fill
+    /// a batch: it takes what is queued when it starts one, so batches
+    /// hold the requests that arrived while the previous batch computed.
     pub max_batch: usize,
-    /// How long the batcher waits for more work after the first request
-    /// of a batch, in microseconds.
-    pub max_wait_us: u64,
     /// Bounded queue depth between the reactor and the batcher; a full
     /// queue rejects with [`ErrorKind::Overloaded`].
     pub queue_cap: usize,
@@ -101,7 +100,6 @@ impl Default for ServeConfig {
         ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             max_batch: 16,
-            max_wait_us: 500,
             queue_cap: 128,
             threads: 0,
             shards: 16,

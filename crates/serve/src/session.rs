@@ -2,13 +2,15 @@
 //!
 //! A session is the mutable half of online inference: the rolling price
 //! history, the incremental DWT cache and each horizon policy's previous
-//! action. The model itself is immutable and shared — see
-//! [`cit_core::DecisionModel`].
+//! action. The history is an [`AssetPanel`] the session owns and the
+//! model reads in place: each pushed day is validated once, on entry,
+//! and a decide copies nothing. The model itself is immutable and shared
+//! — see [`cit_core::DecisionModel`].
 
 use crate::protocol::{ErrorKind, Response};
 use crate::spill::{checksum64, SpillDir, SpillError, SPILL_MAGIC};
 use cit_core::{DecisionModel, HorizonWindowCache};
-use cit_market::{AssetPanel, NUM_FEATURES};
+use cit_market::{AssetPanel, PanelError, NUM_FEATURES};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -19,17 +21,14 @@ use std::time::{Duration, Instant};
 /// state (`SlidingDwt` windows via [`HorizonWindowCache`], previous
 /// per-policy actions).
 pub struct Session {
-    name: String,
     /// The model slot this session is pinned to for life — carried
     /// through disk spill so a restart restores the session against the
     /// same model (empty = default slot, for sessions opened without a
     /// `model` field).
     model: String,
-    num_assets: usize,
-    /// Day-major `[days, m, 4]` history, trimmed to `max_history` days.
-    hist: Vec<f64>,
-    /// Days currently held in `hist`.
-    days: usize,
+    /// The price history, named after the session and trimmed to
+    /// `max_history` days. Every price in it has been validated.
+    panel: AssetPanel,
     /// Days ever pushed (absolute day index = `total_days - 1`). Survives
     /// trimming, so clients see a monotone day counter.
     total_days: usize,
@@ -63,25 +62,24 @@ impl Session {
                 ),
             ));
         }
+        let panel =
+            AssetPanel::try_from_days(name, model.num_assets(), prices).map_err(bad_data)?;
         let mut session = Session {
-            name: name.to_string(),
             model: slot.to_string(),
-            num_assets: model.num_assets(),
-            hist: Vec::new(),
-            days: 0,
-            total_days: 0,
+            panel,
+            total_days: prices.len(),
             prev_actions: model.uniform_prev_actions(),
             cache: model.new_cache(),
             max_history: max_history.max(2 * window),
             last_used: Instant::now(),
         };
-        session.push_days(model, prices)?;
+        session.trim(model);
         Ok(session)
     }
 
     /// The session id.
     pub fn name(&self) -> &str {
-        &self.name
+        self.panel.name()
     }
 
     /// The model slot the session is pinned to (empty = default slot).
@@ -91,7 +89,7 @@ impl Session {
 
     /// Days of history currently held (after trimming).
     pub fn days(&self) -> usize {
-        self.days
+        self.panel.num_days()
     }
 
     /// Absolute day index of the latest day (`total pushed - 1`).
@@ -99,35 +97,14 @@ impl Session {
         self.total_days - 1
     }
 
-    /// Appends days of OHLC rows, validating width and positivity.
+    /// Appends days of OHLC rows, validating width and positivity. All
+    /// or nothing: a bad row leaves the session as it was.
     pub fn push_days(
         &mut self,
         model: &DecisionModel,
         prices: &[Vec<f64>],
     ) -> Result<(), Response> {
-        let row = self.num_assets * NUM_FEATURES;
-        for (i, day) in prices.iter().enumerate() {
-            if day.len() != row {
-                return Err(Response::error(
-                    ErrorKind::BadData,
-                    format!(
-                        "day {i}: expected {row} values ({} assets × {NUM_FEATURES} OHLC), got {}",
-                        self.num_assets,
-                        day.len()
-                    ),
-                ));
-            }
-            if let Some(bad) = day.iter().find(|p| !(p.is_finite() && **p > 0.0)) {
-                return Err(Response::error(
-                    ErrorKind::BadData,
-                    format!("day {i}: prices must be positive and finite, got {bad}"),
-                ));
-            }
-        }
-        for day in prices {
-            self.hist.extend_from_slice(day);
-        }
-        self.days += prices.len();
+        self.panel.try_push_days(prices).map_err(bad_data)?;
         self.total_days += prices.len();
         self.trim(model);
         Ok(())
@@ -140,13 +117,12 @@ impl Session {
     /// so it is rebuilt (one full recompute, bitwise-equal by the
     /// `SlidingDwt` contract).
     fn trim(&mut self, model: &DecisionModel) {
-        if self.days <= self.max_history {
+        let days = self.days();
+        if days <= self.max_history {
             return;
         }
         let keep = (self.max_history / 2).max(model.min_history()).max(2);
-        let row = self.num_assets * NUM_FEATURES;
-        self.hist.drain(..(self.days - keep) * row);
-        self.days = keep;
+        self.panel.drop_front_days(days - keep);
         self.cache = model.new_cache();
     }
 
@@ -159,29 +135,21 @@ impl Session {
         prices: &[Vec<f64>],
     ) -> Result<Response, Response> {
         self.push_days(model, prices)?;
-        if self.days < model.min_history() {
+        let days = self.days();
+        if days < model.min_history() {
             return Err(Response::error(
                 ErrorKind::BadData,
                 format!(
-                    "decide needs {} days of history, session holds {}",
+                    "decide needs {} days of history, session holds {days}",
                     model.min_history(),
-                    self.days
                 ),
             ));
         }
-        let t = self.days - 1;
-        let panel = AssetPanel::try_new(
-            self.name.clone(),
-            self.days,
-            self.num_assets,
-            self.hist.clone(),
-            t,
-        )
-        .map_err(|e| Response::error(ErrorKind::BadData, e.to_string()))?;
-        let out = model.decide(&panel, t, &self.prev_actions, &mut self.cache);
+        let t = days - 1;
+        let out = model.decide(&self.panel, t, &self.prev_actions, &mut self.cache);
         self.prev_actions.clone_from(&out.pre_actions);
         Ok(Response::Decision {
-            session: self.name.clone(),
+            session: self.name().to_string(),
             day: self.current_day(),
             final_action: out.final_action,
             pre_actions: out.pre_actions,
@@ -199,19 +167,20 @@ impl Session {
     /// the session name, so a restart restores every session against the
     /// model it was opened on.
     pub(crate) fn spill_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(96 + self.hist.len() * 8);
+        let hist = self.panel.as_slice();
+        let mut out = Vec::with_capacity(96 + hist.len() * 8);
         out.extend_from_slice(SPILL_MAGIC);
         let push_u64 = |out: &mut Vec<u8>, v: u64| out.extend_from_slice(&v.to_le_bytes());
-        push_u64(&mut out, self.name.len() as u64);
-        out.extend_from_slice(self.name.as_bytes());
+        push_u64(&mut out, self.name().len() as u64);
+        out.extend_from_slice(self.name().as_bytes());
         push_u64(&mut out, self.model.len() as u64);
         out.extend_from_slice(self.model.as_bytes());
-        push_u64(&mut out, self.num_assets as u64);
-        push_u64(&mut out, self.days as u64);
+        push_u64(&mut out, self.panel.num_assets() as u64);
+        push_u64(&mut out, self.days() as u64);
         push_u64(&mut out, self.total_days as u64);
         push_u64(&mut out, self.max_history as u64);
-        push_u64(&mut out, self.hist.len() as u64);
-        for v in &self.hist {
+        push_u64(&mut out, hist.len() as u64);
+        for v in hist {
             push_u64(&mut out, v.to_bits());
         }
         push_u64(&mut out, self.prev_actions.len() as u64);
@@ -229,9 +198,12 @@ impl Session {
     /// Rebuilds a session from [`Session::spill_bytes`] output,
     /// verifying the checksum trailer and validating shape compatibility
     /// against the active `model`. [`SpillError::Corrupt`] means the
-    /// bytes themselves are damaged (truncation, bit-flip, bad magic) —
-    /// the caller quarantines the file; [`SpillError::Incompatible`]
-    /// means an intact file that does not fit the served model.
+    /// bytes themselves are damaged (truncation, bit-flip, bad magic) or
+    /// hold a history no session could have (a non-positive or
+    /// non-finite price) — the caller quarantines the file;
+    /// [`SpillError::Incompatible`] means an intact file that does not
+    /// fit the served model. The restored history is validated here,
+    /// once, as the session's panel is built.
     pub(crate) fn from_spill_bytes(
         bytes: &[u8],
         model: &DecisionModel,
@@ -282,10 +254,16 @@ impl Session {
         let total_days = take_u64(&mut pos)? as usize;
         let max_history = take_u64(&mut pos)? as usize;
         let hist_len = take_u64(&mut pos)? as usize;
-        if hist_len != days * num_assets * NUM_FEATURES {
+        let expected_len = num_assets
+            .checked_mul(NUM_FEATURES)
+            .and_then(|row| row.checked_mul(days));
+        if expected_len != Some(hist_len) {
             return Err(corrupt(&format!(
                 "spill history length {hist_len} does not match {days} days × {num_assets} assets"
             )));
+        }
+        if hist_len > bytes.len() / 8 {
+            return Err(corrupt("truncated spill file"));
         }
         let mut hist = Vec::with_capacity(hist_len);
         for _ in 0..hist_len {
@@ -326,12 +304,11 @@ impl Session {
                 "spilled session holds too little history for the served model".into(),
             ));
         }
+        let panel = AssetPanel::try_new(name, days, num_assets, hist, 0)
+            .map_err(|e| corrupt(&format!("spilled history is not a valid panel: {e}")))?;
         Ok(Session {
-            name,
             model: model_name,
-            num_assets,
-            hist,
-            days,
+            panel,
             total_days,
             prev_actions,
             cache: model.new_cache(),
@@ -339,6 +316,12 @@ impl Session {
             last_used: Instant::now(),
         })
     }
+}
+
+/// The client-facing `bad_data` reject for prices that cannot join a
+/// session's history.
+fn bad_data(e: PanelError) -> Response {
+    Response::error(ErrorKind::BadData, e.to_string())
 }
 
 /// The identity header of a spill file: who it is and which model slot
@@ -742,6 +725,112 @@ mod tests {
             spill_peek(&bytes[..20]),
             Err(SpillError::Corrupt(_))
         ));
+    }
+
+    fn decision_bits(r: &Response) -> (Vec<u64>, Vec<Vec<u64>>) {
+        let Response::Decision {
+            final_action,
+            pre_actions,
+            ..
+        } = r
+        else {
+            panic!("expected a decision, got {r:?}")
+        };
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        (
+            bits(final_action),
+            pre_actions.iter().map(|a| bits(a)).collect(),
+        )
+    }
+
+    /// A decide whose second row is bad changes nothing: the reject keeps
+    /// its text, and the session goes on exactly like one that never saw
+    /// the request.
+    #[test]
+    fn a_rejected_decide_leaves_no_trace() {
+        let m = model();
+        let p = synth();
+        let mut probe = Session::open(&m, "s", "", &rows(&p, 0, 30), 256).unwrap();
+        let mut control = Session::open(&m, "s", "", &rows(&p, 0, 30), 256).unwrap();
+        probe.decide(&m, &rows(&p, 30, 31)).unwrap();
+        control.decide(&m, &rows(&p, 30, 31)).unwrap();
+        let mut bad = rows(&p, 31, 33);
+        bad[1][3] = -1.0;
+        let err = probe.decide(&m, &bad).unwrap_err();
+        assert_eq!(
+            err,
+            Response::error(
+                ErrorKind::BadData,
+                "day 1: prices must be positive and finite, got -1"
+            )
+        );
+        assert_eq!(probe.days(), control.days());
+        assert_eq!(probe.current_day(), control.current_day());
+        for t in 31..60 {
+            let day = rows(&p, t, t + 1);
+            let rp = probe.decide(&m, &day).unwrap();
+            let rc = control.decide(&m, &day).unwrap();
+            assert_eq!(decision_bits(&rp), decision_bits(&rc), "diverged at t={t}");
+        }
+    }
+
+    /// A session trimmed over and over decides bitwise like the model
+    /// replayed over the whole untrimmed panel.
+    #[test]
+    fn trim_cycles_match_a_full_panel_replay() {
+        let m = model();
+        let p = synth();
+        let open_days = 30;
+        // max_history is raised to 2·window = 32; each trim keeps 16 days.
+        let mut s = Session::open(&m, "s", "", &rows(&p, 0, open_days), 1).unwrap();
+        let mut cache = m.new_cache();
+        let mut prev = m.uniform_prev_actions();
+        let mut trims = 0;
+        for t in open_days..p.num_days() {
+            let before = s.days();
+            let served = s.decide(&m, &rows(&p, t, t + 1)).unwrap();
+            if s.days() < before {
+                trims += 1;
+            }
+            let replay = m.decide(&p, t, &prev, &mut cache);
+            let expected = Response::Decision {
+                session: "s".into(),
+                day: t,
+                final_action: replay.final_action,
+                pre_actions: replay.pre_actions.clone(),
+                model: String::new(),
+            };
+            assert_eq!(decision_bits(&served), decision_bits(&expected), "t={t}");
+            assert_eq!(s.current_day(), t);
+            prev = replay.pre_actions;
+        }
+        assert!(trims >= 3, "only {trims} trim cycles");
+    }
+
+    /// A spill whose checksum is valid but whose history holds a price no
+    /// session could have is refused as corrupt when it is restored —
+    /// a typed error, never a panic.
+    #[test]
+    fn a_crafted_spill_with_a_bad_price_is_corrupt() {
+        let m = model();
+        let p = synth();
+        let s = Session::open(&m, "crafted", "", &rows(&p, 0, 40), 256).unwrap();
+        let good = s.spill_bytes();
+        // magic, name, model pin, then five u64 fields before the history.
+        let hist_at = SPILL_MAGIC.len() + 8 + "crafted".len() + 8 + 5 * 8;
+        for bad in [-1.0, 0.0, f64::NAN, f64::INFINITY] {
+            let mut bytes = good[..good.len() - 8].to_vec();
+            bytes[hist_at + 8 * 17..hist_at + 8 * 18].copy_from_slice(&bad.to_bits().to_le_bytes());
+            let sum = checksum64(&bytes);
+            bytes.extend_from_slice(&sum.to_le_bytes());
+            match Session::from_spill_bytes(&bytes, &m) {
+                Err(SpillError::Corrupt(msg)) => {
+                    assert!(msg.contains("positive and finite"), "{msg}")
+                }
+                Err(e) => panic!("price {bad}: expected Corrupt, got {e}"),
+                Ok(_) => panic!("price {bad}: a session with a bad price was restored"),
+            }
+        }
     }
 
     #[test]

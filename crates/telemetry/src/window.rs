@@ -170,6 +170,16 @@ pub(crate) fn bucket_quantile(bounds: &[f64], buckets: &[u64], total: u64, q: f6
     bounds[bounds.len() - 1]
 }
 
+/// Seconds a trailing window of `span` epochs covers at `now_micros`:
+/// from the later of the window's start and the clock origin, up to now.
+/// The effective window never exceeds the time the clock has run, so a
+/// level younger than one epoch divides by its own age — 300 events at
+/// 0.25 s read 1,200/s, not 300/s — and early rates are not diluted by
+/// time that has not elapsed yet.
+fn covered_s(now_micros: u64, span: u64, epoch_micros: u64) -> f64 {
+    now_micros.min(span.saturating_mul(epoch_micros)) as f64 / 1e6
+}
+
 /// Shared state of a [`RollingHistogram`].
 pub(crate) struct RollingCore {
     bounds: Vec<f64>,
@@ -242,12 +252,8 @@ impl RollingCore {
             }
             sum += f64::from_bits(slot.sum_bits.load(Ordering::Relaxed));
         }
-        // The effective window never exceeds the process uptime, so early
-        // rates are not diluted by time that has not elapsed yet.
-        let elapsed_s = now_micros as f64 / 1e6;
-        let window_s = (secs as f64).min(elapsed_s.max(self.epoch_micros as f64 / 1e6));
         WindowSnapshot {
-            window_s,
+            window_s: covered_s(now_micros, span, self.epoch_micros),
             count: buckets.iter().sum(),
             sum,
             bounds: self.bounds.clone(),
@@ -487,9 +493,7 @@ impl WindowedCounterCore {
             }
             count += slot.value.load(Ordering::Relaxed);
         }
-        let elapsed_s = now_micros as f64 / 1e6;
-        let window_s = (secs as f64).min(elapsed_s.max(self.epoch_micros as f64 / 1e6));
-        (count, window_s)
+        (count, covered_s(now_micros, span, self.epoch_micros))
     }
 }
 
@@ -621,6 +625,27 @@ mod tests {
         // 100 events in 2 s of uptime must not read as 100/60.
         let r = c.rate(60);
         assert!((r - 50.0).abs() < 1e-9, "rate {r}");
+    }
+
+    #[test]
+    fn sub_epoch_rates_divide_by_the_time_covered() {
+        let clock = ManualClock::new();
+        let c = WindowedCounter::with_clock(16, &clock);
+        let h = RollingHistogram::with_clock(&[1.0], 16, &clock);
+        clock.set(Duration::from_millis(250));
+        c.add(300);
+        for _ in 0..300 {
+            h.record(0.5);
+        }
+        // 300 events in the first quarter second are 1,200/s, in the
+        // 10-s and the 60-s window alike: only 0.25 s has been covered.
+        for secs in [10, 60] {
+            assert_eq!(c.window_count(secs), 300);
+            assert!((c.rate(secs) - 1200.0).abs() < 1e-9, "{}", c.rate(secs));
+            let w = h.window(secs);
+            assert_eq!(w.window_s, 0.25);
+            assert!((w.rate() - 1200.0).abs() < 1e-9, "{}", w.rate());
+        }
     }
 
     #[test]
