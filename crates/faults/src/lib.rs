@@ -49,7 +49,7 @@ use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 /// Environment variable naming a fault-plan file to activate
@@ -455,6 +455,10 @@ struct Inner {
     counters: Mutex<BTreeMap<String, u64>>,
     /// Human-readable log of fired faults (for tests and telemetry).
     log: Mutex<Vec<String>>,
+    /// Set by [`FaultInjector::release_stalls`]; `wake` ends the stalls
+    /// in progress when it flips.
+    released: Mutex<bool>,
+    wake: Condvar,
 }
 
 /// The injection handle threaded through trainers, writers and ingestion.
@@ -491,6 +495,8 @@ impl FaultInjector {
                 fired,
                 counters: Mutex::new(BTreeMap::new()),
                 log: Mutex::new(Vec::new()),
+                released: Mutex::new(false),
+                wake: Condvar::new(),
             })),
         }
     }
@@ -674,6 +680,34 @@ impl FaultInjector {
             }
         }
         None
+    }
+
+    /// Stalls the calling thread when a delay fires at the named site
+    /// (see [`FaultInjector::delay_at`]): for the fault's duration, or
+    /// until [`FaultInjector::release_stalls`] ends it. Returns whether a
+    /// stall fired.
+    pub fn stall_at(&self, site: &str) -> bool {
+        let Some(d) = self.delay_at(site) else {
+            return false;
+        };
+        let inner = self.inner.as_deref().expect("a delay fired");
+        let released = inner.released.lock().expect("faults release poisoned");
+        let _ = inner
+            .wake
+            .wait_timeout_while(released, d, |released| !*released)
+            .expect("faults release poisoned");
+        true
+    }
+
+    /// Ends the stall in progress and every later one at once. A test
+    /// holds a site with a delay far longer than it needs and releases
+    /// it when it has seen what it waits for, so nothing it asserts
+    /// depends on how long its own set-up took.
+    pub fn release_stalls(&self) {
+        if let Some(inner) = self.inner.as_deref() {
+            *inner.released.lock().expect("faults release poisoned") = true;
+            inner.wake.notify_all();
+        }
     }
 
     /// Byte cap for a truncated write at the named site, keyed by
@@ -944,5 +978,29 @@ mod tests {
         assert_eq!(a.grad_poison(3).len(), 1);
         assert!(b.grad_poison(3).is_empty(), "clone shares fire-once flags");
         assert_eq!(b.fired_count(), 1);
+    }
+
+    #[test]
+    fn released_stalls_end_early() {
+        // A ten-minute stall: the test would time out long before it
+        // ended on its own.
+        let plan = FaultPlan {
+            seed: 1,
+            faults: vec![Fault::Delay {
+                site: "serve.batch.complete".into(),
+                at: 1,
+                millis: 600_000,
+            }],
+        };
+        let faults = FaultInjector::new(plan);
+        let held = faults.clone();
+        let stalled = std::thread::spawn(move || held.stall_at("serve.batch.complete"));
+        while faults.fired_count() == 0 {
+            std::thread::yield_now();
+        }
+        faults.release_stalls();
+        assert!(stalled.join().unwrap(), "the stall fired and ended");
+        assert!(!faults.stall_at("serve.batch.complete"), "fire-once");
+        assert!(!FaultInjector::disabled().stall_at("serve.batch.complete"));
     }
 }

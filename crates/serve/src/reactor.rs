@@ -371,9 +371,7 @@ fn read_and_dispatch(
     // thing — carry on, or drop this connection; nothing else may be
     // disturbed. Each probe owns its site string because every probe
     // call advances that site's occurrence counter.
-    if let Some(d) = state.cfg.faults.delay_at("serve.sock.stall") {
-        std::thread::sleep(d);
-    }
+    state.cfg.faults.stall_at("serve.sock.stall");
     if state.cfg.faults.io_error("serve.sock.read").is_some() {
         return ConnFate::Drop;
     }
